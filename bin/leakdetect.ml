@@ -12,8 +12,9 @@
      store      recover and inspect a durable signature-state directory
      evade      adversarial mutation replay: per-mutator recall with and
                 without the canonicalization lattice
-     soak       multi-client delta-sync soak against the journaled signature
-                authority, with crash points and convergence invariants *)
+     soak       distribution soak: delta-sync clients against journaled origins,
+                optionally behind a relay tier, with crash points, partitions
+                and convergence invariants *)
 
 open Cmdliner
 
@@ -52,7 +53,6 @@ module Normalize = Leakdetect_normalize.Normalize
 module Mutator = Leakdetect_adversary.Mutator
 module Harness = Leakdetect_adversary.Harness
 module Json = Leakdetect_util.Json
-module Soak = Leakdetect_distrib.Soak
 module Topology = Leakdetect_distrib.Topology
 
 let exit_err fmt = Printf.ksprintf (fun m -> prerr_endline ("leakdetect: " ^ m); exit 1) fmt
@@ -1408,17 +1408,23 @@ let soak_cmd =
   let run () seed clients tenants ticks sync_period publishes compact_every k
       reporter_cap candidates byzantine drop corrupt server_error
       server_crash_rate client_restart_rate drain_rounds min_delta_ratio
-      topology origins standby_origins relays byzantine_relays
-      byzantine_corrupt relay_sync_period partitions partition_ticks
-      relay_crashes epoch_flips gossip_period fork_injections origin_weight
-      min_offload state_dir json_out metrics_out =
+      origins standby_origins relays byzantine_relays byzantine_corrupt
+      relay_sync_period partitions partition_ticks relay_crashes epoch_flips
+      gossip_period fork_injections origin_weight min_offload state_dir
+      json_out metrics_out =
     let config =
       {
-        Soak.default_config with
-        Soak.clients;
+        Topology.default_config with
+        Topology.origins;
+        standby_origins;
+        relays;
+        byzantine_relays;
+        byzantine_corrupt_rate = byzantine_corrupt;
+        clients;
         tenants;
         ticks;
         sync_period;
+        relay_sync_period;
         publishes;
         compact_every;
         k;
@@ -1432,9 +1438,17 @@ let soak_cmd =
             corrupt_rate = corrupt;
             server_error_rate = server_error;
           };
-        server_crash_rate;
+        partitions;
+        partition_ticks;
+        relay_crashes;
+        epoch_flips;
+        origin_crash_rate = server_crash_rate;
         client_restart_rate;
+        min_offload;
         drain_rounds;
+        gossip_period;
+        fork_injections;
+        origin_weight;
         seed;
       }
     in
@@ -1450,94 +1464,39 @@ let soak_cmd =
         Sys.mkdir d 0o755;
         (d, true)
     in
-    let emit_metrics () =
-      match metrics_out with
-      | None -> ()
-      | Some "-" -> print_string (Obs.to_prometheus obs)
-      | Some path ->
-        spit path (Obs.to_prometheus obs);
-        Printf.printf "metrics written to %s\n" path
-    in
-    if topology then begin
-      let tconfig =
-        {
-          Topology.default_config with
-          Topology.origins;
-          standby_origins;
-          relays;
-          byzantine_relays;
-          byzantine_corrupt_rate = byzantine_corrupt;
-          clients;
-          tenants;
-          ticks;
-          sync_period;
-          relay_sync_period;
-          publishes;
-          compact_every;
-          k;
-          reporter_cap;
-          candidates;
-          byzantine;
-          fault = config.Soak.fault;
-          partitions;
-          partition_ticks;
-          relay_crashes;
-          epoch_flips;
-          origin_crash_rate = server_crash_rate;
-          client_restart_rate;
-          min_offload;
-          drain_rounds;
-          gossip_period;
-          fork_injections;
-          origin_weight;
-          seed;
-        }
-      in
-      let report =
+    let report =
+      (* [exit_err] outside the protect, so the scratch root is removed
+         even when the config is refused. *)
+      match
         Fun.protect
           ~finally:(fun () -> if cleanup_root then rm_rf state_root)
           (fun () ->
             let dir = Filename.concat state_root "topology" in
             if Sys.file_exists dir then rm_rf dir;
-            try Topology.run ~obs ~dir tconfig
-            with Invalid_argument m -> exit_err "%s" m)
-      in
-      print_endline (Topology.summary report);
-      (match json_out with
-      | None -> ()
-      | Some "-" ->
-        print_endline (Json.to_string_pretty (Topology.report_to_json report))
-      | Some path ->
-        spit path (Json.to_string_pretty (Topology.report_to_json report));
-        Printf.printf "topology report written to %s\n" path);
-      emit_metrics ();
-      if not (Topology.ok report) then
-        exit_err "topology soak failed: invariant violation or offload floor"
-    end
-    else begin
-      let report =
-        Fun.protect
-          ~finally:(fun () -> if cleanup_root then rm_rf state_root)
-          (fun () ->
-            let dir = Filename.concat state_root "authority" in
-            if Sys.file_exists dir then rm_rf dir;
-            try Soak.run ~obs ~dir config
-            with Invalid_argument m -> exit_err "%s" m)
-      in
-      print_endline (Soak.summary report);
-      (match json_out with
-      | None -> ()
-      | Some "-" ->
-        print_endline (Json.to_string_pretty (Soak.report_to_json report))
-      | Some path ->
-        spit path (Json.to_string_pretty (Soak.report_to_json report));
-        Printf.printf "soak report written to %s\n" path);
-      emit_metrics ();
-      if not (Soak.ok report) then exit_err "soak invariants violated";
-      if report.Soak.steady_delta_ratio < min_delta_ratio then
-        exit_err "steady-state delta ratio %.1f below floor %.1f"
-          report.Soak.steady_delta_ratio min_delta_ratio
-    end
+            Topology.run ~obs ~dir config)
+      with
+      | report -> report
+      | exception Invalid_argument m -> exit_err "%s" m
+    in
+    print_endline (Topology.summary report);
+    (match json_out with
+    | None -> ()
+    | Some "-" ->
+      print_endline (Json.to_string_pretty (Topology.report_to_json report))
+    | Some path ->
+      spit path (Json.to_string_pretty (Topology.report_to_json report));
+      Printf.printf "soak report written to %s\n" path);
+    (match metrics_out with
+    | None -> ()
+    | Some "-" -> print_string (Obs.to_prometheus obs)
+    | Some path ->
+      spit path (Obs.to_prometheus obs);
+      Printf.printf "metrics written to %s\n" path);
+    if not (Topology.ok report) then
+      exit_err "soak failed: invariant violation or offload floor";
+    if report.Topology.steady_delta_ratio < min_delta_ratio then
+      exit_err "steady-state delta ratio %.1f below floor %.1f"
+        report.Topology.steady_delta_ratio min_delta_ratio
   in
   let flag_int name v doc =
     Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
@@ -1547,9 +1506,12 @@ let soak_cmd =
   in
   let clients = flag_int "clients" 500 "Simulated delta-sync clients." in
   let tenants = flag_int "tenants" 2 "Tenants (clients assigned round-robin)." in
-  let ticks = flag_int "ticks" 2000 "Scheduler ticks (ramp is the first 2/3)." in
+  let ticks = flag_int "ticks" 2000 "Scheduler ticks (ramp is the first third)." in
   let sync_period = flag_int "sync-period" 20 "Ticks between one client's syncs." in
-  let publishes = flag_int "publishes" 40 "Signature-set publishes over the ramp." in
+  let publishes =
+    flag_int "publishes" 40
+      "Signature-set publishes, spread over the first nine tenths of the ticks."
+  in
   let compact_every =
     flag_int "compact-every" 5 "Compact the changelog every N publishes (0 = never)."
   in
@@ -1580,67 +1542,57 @@ let soak_cmd =
               "Exit non-zero unless steady-state delta syncs outnumber full \
                downloads by at least R.")
   in
-  let topology =
-    Arg.(value
-        & flag
-        & info [ "topology" ]
-            ~doc:
-              "Run the multi-node topology soak instead: sharded origins, a \
-               relay tier with partitions, crashes and a byzantine member, \
-               and mid-soak epoch flips migrating tenants.")
-  in
-  let origins = flag_int "origins" 2 "Origins in the initial shard map (topology)." in
+  let origins = flag_int "origins" 2 "Origins in the initial shard map." in
   let standby_origins =
     flag_int "standby-origins" 1
-      "Standby origins joining the map at odd epoch flips (topology)."
+      "Standby origins joining the map at odd epoch flips."
   in
-  let relays = flag_int "relays" 3 "Relay nodes between clients and origins (topology)." in
+  let relays = flag_int "relays" 3 "Relay nodes between clients and origins." in
   let byzantine_relays =
-    flag_int "byzantine-relays" 1 "Relays serving corrupted bytes (topology)."
+    flag_int "byzantine-relays" 1 "Relays serving corrupted bytes."
   in
   let byzantine_corrupt =
     flag_rate "byzantine-corrupt" 0.5
-      "Per-response corruption rate of a byzantine relay (topology)."
+      "Per-response corruption rate of a byzantine relay."
   in
   let relay_sync_period =
-    flag_int "relay-sync-period" 4 "Ticks between relay upstream syncs (topology)."
+    flag_int "relay-sync-period" 4 "Ticks between relay upstream syncs."
   in
   let partitions =
-    flag_int "partitions" 3 "Relay-from-origin partitions scheduled (topology)."
+    flag_int "partitions" 3 "Relay-from-origin partitions scheduled."
   in
   let partition_ticks =
-    flag_int "partition-ticks" 150 "Duration of each partition (topology)."
+    flag_int "partition-ticks" 150 "Duration of each partition."
   in
   let relay_crashes =
-    flag_int "relay-crashes" 2 "Relay crashes (total state loss) scheduled (topology)."
+    flag_int "relay-crashes" 2 "Relay crashes (total state loss) scheduled."
   in
   let epoch_flips =
-    flag_int "epoch-flips" 1 "Mid-soak shard-map advances migrating tenants (topology)."
+    flag_int "epoch-flips" 1 "Mid-soak shard-map advances migrating tenants."
   in
   let gossip_period =
     flag_int "gossip-period" 8
-      "Ticks between relay gossip rounds, 0 to disable (topology)."
+      "Ticks between relay gossip rounds, 0 to disable."
   in
   let fork_injections =
     flag_int "fork-injections" 2
-      "Adversarial relay-mirror forks injected mid-soak (topology)."
+      "Adversarial relay-mirror forks injected mid-soak."
   in
   let origin_weight =
     flag_int "origin-weight" 1
-      "Shard-map capacity weight of origin 0; 1 keeps the map unweighted \
-       (topology)."
+      "Shard-map capacity weight of origin 0; 1 keeps the map unweighted."
   in
   let min_offload =
     flag_rate "min-offload" 0.8
       "Exit non-zero unless relays absorb at least this share of client sync \
-       requests (topology)."
+       requests (ignored with no relays)."
   in
   let state_dir =
     Arg.(value
         & opt (some string) None
         & info [ "state-dir" ] ~docv:"DIR"
             ~doc:
-              "Directory for the authority journal/snapshot (default: a \
+              "Directory for the origin journals/snapshots (default: a \
                temporary directory, removed afterwards).")
   in
   let json_out =
@@ -1660,14 +1612,16 @@ let soak_cmd =
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Drive hundreds of simulated clients against the journaled multi-tenant \
-          signature authority through faulty transports, with server crash \
-          points, and check the convergence invariants.")
+         "Drive hundreds of simulated clients against journaled multi-tenant \
+          signature origins, optionally behind a relay tier, through faulty \
+          transports with crash points, and check the convergence invariants. \
+          $(b,--origins 1 --standby-origins 0 --relays 0) with no relay \
+          hostilities is the single-origin soak.")
     Term.(const run $ setup_log_t $ seed_t $ clients $ tenants $ ticks
           $ sync_period $ publishes $ compact_every $ k $ reporter_cap
           $ candidates $ byzantine $ drop $ corrupt $ server_error
           $ server_crash_rate $ client_restart_rate $ drain_rounds
-          $ min_delta_ratio $ topology $ origins $ standby_origins $ relays
+          $ min_delta_ratio $ origins $ standby_origins $ relays
           $ byzantine_relays $ byzantine_corrupt $ relay_sync_period
           $ partitions $ partition_ticks $ relay_crashes $ epoch_flips
           $ gossip_period $ fork_injections $ origin_weight

@@ -261,7 +261,13 @@ let fetch t ~transport ~full_transport ~since =
         | Some other -> Error (Printf.sprintf "unknown transfer mode %S" other)))
     | status -> Error (Printf.sprintf "unexpected status %d" status))
 
-let attribute t report =
+(* One sync round: reset the per-round state, run the wrapped client's
+   retry machine over [fetch], and attribute an install to delta or
+   snapshot. *)
+let sync_round t fetch =
+  t.last_update <- None;
+  t.verify_failed <- false;
+  let report = Signature_client.sync t.inner ~fetch in
   (match (report.Signature_client.outcome, t.last_update) with
   | Signature_client.Updated _, Some (`Delta _) ->
     t.delta_updates <- t.delta_updates + 1
@@ -271,24 +277,21 @@ let attribute t report =
   report
 
 let sync ?full_transport t ~transport =
-  let full_transport =
-    match full_transport with Some f -> f | None -> transport
-  in
-  t.last_update <- None;
-  t.verify_failed <- false;
-  attribute t
-    (Signature_client.sync t.inner ~fetch:(fun ~since ->
-         fetch t ~transport ~full_transport ~since))
+  let full_transport = Option.value full_transport ~default:transport in
+  sync_round t (fun ~since -> fetch t ~transport ~full_transport ~since)
 
 let sync_via t ~relays ~origin =
-  if relays = [] then invalid_arg "Delta_client.sync_via: no relays";
-  let n = List.length relays in
-  t.last_update <- None;
-  t.verify_failed <- false;
-  let attempt = ref 0 in
-  let escalated = ref false in
-  let report =
-    Signature_client.sync t.inner ~fetch:(fun ~since ->
+  if relays = [] then sync t ~transport:origin
+  else
+    let n = List.length relays in
+    let attempt = ref 0 and escalated = ref false in
+    let escalate () =
+      if not !escalated then begin
+        escalated := true;
+        t.escalations <- t.escalations + 1
+      end
+    in
+    sync_round t (fun ~since ->
         incr attempt;
         (* Attempts walk the relay tier first (starting at the sticky
            preferred relay), then fall through to the origin; a
@@ -297,10 +300,7 @@ let sync_via t ~relays ~origin =
            transport loss is worth retrying against a sibling relay,
            a lying answer is not. *)
         if !escalated || !attempt > n then begin
-          if not !escalated then begin
-            escalated := true;
-            t.escalations <- t.escalations + 1
-          end;
+          escalate ();
           fetch t ~transport:origin ~full_transport:origin ~since
         end
         else begin
@@ -313,13 +313,8 @@ let sync_via t ~relays ~origin =
             (* Fail away from the relay that lied: future syncs start at
                its sibling. *)
             t.preferred <- (ix + 1) mod n;
-            if not !escalated then begin
-              escalated := true;
-              t.escalations <- t.escalations + 1
-            end;
+            escalate ();
             t.verify_failed <- false
           end;
           result
         end)
-  in
-  attribute t report

@@ -104,5 +104,5 @@ val sync_via :
   Signature_client.sync_report
 (** One sync round through the relay tier with origin escalation (see the
     module doc).  The preferred relay is sticky across rounds and fails
-    over on verification failure.
-    @raise Invalid_argument when [relays] is empty. *)
+    over on verification failure.  With no relays it is a plain {!sync}
+    against [origin], and no escalation is counted. *)

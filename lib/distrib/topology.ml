@@ -142,9 +142,10 @@ type report = {
   final_versions : (string * int) list;
   tenant_owners : (string * string) list;
   invariants : invariants;
+  steady_delta_ratio : float;
 }
 
-let ok r =
+let invariants_hold r =
   r.invariants.divergences = 0
   && r.invariants.regressions = 0
   && r.invariants.sub_k_promotions = 0
@@ -152,26 +153,13 @@ let ok r =
   && r.invariants.unconverged = 0
   && r.invariants.relay_divergences = 0
   && r.invariants.staleness_lapses = 0
-  && r.offload >= r.config.min_offload
 
-(* --- accumulators --- *)
+(* With no relay tier there is nothing to offload to: the floor is moot. *)
+let ok r =
+  invariants_hold r
+  && (r.config.relays = 0 || r.offload >= r.config.min_offload)
 
-type phase_acc = {
-  mutable a_delta : int;
-  mutable a_snapshot : int;
-  mutable a_unchanged : int;
-  mutable a_failed : int;
-}
-
-let fresh_acc () = { a_delta = 0; a_snapshot = 0; a_unchanged = 0; a_failed = 0 }
-
-let freeze a =
-  {
-    delta = a.a_delta;
-    snapshot = a.a_snapshot;
-    unchanged = a.a_unchanged;
-    failed = a.a_failed;
-  }
+let no_syncs = { delta = 0; snapshot = 0; unchanged = 0; failed = 0 }
 
 type sim_client = {
   index : int;
@@ -190,7 +178,7 @@ let validate config =
   if config.standby_origins < 0 then bad "Topology: standby_origins < 0";
   if config.epoch_flips > 0 && config.standby_origins < 1 then
     bad "Topology: epoch flips need at least one standby origin";
-  if config.relays < 1 then bad "Topology: relays < 1";
+  if config.relays < 0 then bad "Topology: relays < 0";
   if config.byzantine_relays < 0 || config.byzantine_relays > config.relays then
     bad "Topology: byzantine_relays out of range";
   if config.clients < 1 then bad "Topology: clients < 1";
@@ -203,8 +191,47 @@ let validate config =
   if config.partition_ticks < 1 then bad "Topology: partition_ticks < 1";
   if config.drain_rounds < 1 then bad "Topology: drain_rounds < 1";
   if config.gossip_period < 0 then bad "Topology: gossip_period < 0";
-  if config.fork_injections < 0 then bad "Topology: fork_injections < 0";
-  if config.origin_weight < 1 then bad "Topology: origin_weight < 1"
+  if config.origin_weight < 1 then bad "Topology: origin_weight < 1";
+  List.iter
+    (fun (name, n) -> if n < 0 then bad "Topology: %s < 0" name)
+    [
+      ("candidates", config.candidates);
+      ("byzantine", config.byzantine);
+      ("partitions", config.partitions);
+      ("relay_crashes", config.relay_crashes);
+      ("epoch_flips", config.epoch_flips);
+      ("compact_every", config.compact_every);
+      ("fork_injections", config.fork_injections);
+    ];
+  (* Relay hostilities need a relay to aim at. *)
+  if config.relays = 0 then
+    List.iter
+      (fun (name, n) -> if n > 0 then bad "Topology: %s > 0 with no relays" name)
+      [
+        ("partitions", config.partitions);
+        ("relay_crashes", config.relay_crashes);
+        ("fork_injections", config.fork_injections);
+      ];
+  let f = config.fault in
+  List.iter
+    (fun (name, r) ->
+      (* Written so that NaN fails too. *)
+      if not (r >= 0. && r <= 1.) then bad "Topology: %s outside [0, 1]" name)
+    [
+      ("byzantine_corrupt_rate", config.byzantine_corrupt_rate);
+      ("origin_crash_rate", config.origin_crash_rate);
+      ("client_restart_rate", config.client_restart_rate);
+      ("min_offload", config.min_offload);
+      ("corrupt_rate", f.Fault.corrupt_rate);
+      ("truncate_rate", f.Fault.truncate_rate);
+      ("drop_rate", f.Fault.drop_rate);
+      ("duplicate_rate", f.Fault.duplicate_rate);
+      ("delay_rate", f.Fault.delay_rate);
+      ("server_error_rate", f.Fault.server_error_rate);
+      ("crash_rate", f.Fault.crash_rate);
+      ("torn_write_rate", f.Fault.torn_write_rate);
+      ("reencode_rate", f.Fault.reencode_rate);
+    ]
 
 let tenant_name i = Printf.sprintf "tenant%d" i
 let origin_name i = Printf.sprintf "origin%d" i
@@ -246,7 +273,7 @@ let post_candidates ~transport ~tenant ~reporter sigs =
         if not ok then Error "bad tally body"
         else
           let get k = Option.value ~default:0 (Hashtbl.find_opt tally k) in
-          Ok (get "accepted", get "duplicate", get "promoted", get "capped"))
+          Ok (get "accepted", get "duplicate", get "capped"))
 
 let run ?(obs = Obs.noop) ~dir config =
   validate config;
@@ -266,21 +293,15 @@ let run ?(obs = Obs.noop) ~dir config =
       compact_keep = config.compact_keep;
     }
   in
-  (match
-     if Sys.file_exists dir then
-       if Sys.is_directory dir then Ok () else Error (dir ^ ": not a directory")
-     else match Sys.mkdir dir 0o755 with
-       | () -> Ok ()
-       | exception Sys_error e -> Error e
-   with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Topology: " ^ e));
+  if not (Sys.file_exists dir) then
+    (try Sys.mkdir dir 0o755 with Sys_error e -> invalid_arg ("Topology: " ^ e))
+  else if not (Sys.is_directory dir) then
+    invalid_arg ("Topology: " ^ dir ^ ": not a directory");
 
   (* --- origins --- *)
   let n_all_origins = config.origins + config.standby_origins in
   let base_names = List.init config.origins origin_name in
   let all_names = List.init n_all_origins origin_name in
-  let wide_names = all_names in
   let origin_tbl = Hashtbl.create 8 in
   List.iter
     (fun name ->
@@ -324,7 +345,7 @@ let run ?(obs = Obs.noop) ~dir config =
   let tenants = List.init config.tenants tenant_name in
 
   (* --- counters --- *)
-  let ramp = fresh_acc () and steady = fresh_acc () and drain = fresh_acc () in
+  let ramp = ref no_syncs and steady = ref no_syncs and drain = ref no_syncs in
   let relay_requests = ref 0
   and origin_requests = ref 0
   and misdirected_follows = ref 0
@@ -349,47 +370,13 @@ let run ?(obs = Obs.noop) ~dir config =
   and staleness_lapses = ref 0
   and forks_done = ref 0 in
   let all_promotions = ref [] in
-  (* Client fetch counters survive restarts via these accumulators. *)
-  let acc_escalations = ref 0
-  and acc_fork_smells = ref 0
-  and acc_forced_full = ref 0
-  and acc_regr_refused = ref 0 in
+  (* Client and relay counters survive restarts and crashes: a replaced
+     instance's counters are harvested here and summed at the end. *)
+  let client_counters = ref [] and relay_counters = ref [] in
   let harvest_client dc =
-    let k = Delta_client.counters dc in
-    acc_escalations := !acc_escalations + k.Delta_client.escalations;
-    acc_fork_smells := !acc_fork_smells + k.Delta_client.fork_smells;
-    acc_forced_full := !acc_forced_full + k.Delta_client.forced_full;
-    acc_regr_refused := !acc_regr_refused + k.Delta_client.regressions_refused
+    client_counters := Delta_client.counters dc :: !client_counters
   in
-  (* Relay counters survive crashes the same way. *)
-  let acc_relay = ref Relay.{
-    sync_rounds = 0; sync_failures = 0; resnapshots = 0; resnapshot_bytes = 0;
-    repairs = 0; repair_bytes = 0; gossip_rounds = 0; gossip_catchups = 0;
-    served_delta = 0; served_snapshot = 0; served_not_modified = 0;
-    served_unready = 0; served_inconsistent = 0; served_digest = 0;
-    forwarded = 0; forward_failures = 0;
-  } in
-  let harvest_relay r =
-    let c = Relay.counters r and a = !acc_relay in
-    acc_relay := Relay.{
-      sync_rounds = a.sync_rounds + c.Relay.sync_rounds;
-      sync_failures = a.sync_failures + c.Relay.sync_failures;
-      resnapshots = a.resnapshots + c.Relay.resnapshots;
-      resnapshot_bytes = a.resnapshot_bytes + c.Relay.resnapshot_bytes;
-      repairs = a.repairs + c.Relay.repairs;
-      repair_bytes = a.repair_bytes + c.Relay.repair_bytes;
-      gossip_rounds = a.gossip_rounds + c.Relay.gossip_rounds;
-      gossip_catchups = a.gossip_catchups + c.Relay.gossip_catchups;
-      served_delta = a.served_delta + c.Relay.served_delta;
-      served_snapshot = a.served_snapshot + c.Relay.served_snapshot;
-      served_not_modified = a.served_not_modified + c.Relay.served_not_modified;
-      served_unready = a.served_unready + c.Relay.served_unready;
-      served_inconsistent = a.served_inconsistent + c.Relay.served_inconsistent;
-      served_digest = a.served_digest + c.Relay.served_digest;
-      forwarded = a.forwarded + c.Relay.forwarded;
-      forward_failures = a.forward_failures + c.Relay.forward_failures;
-    }
-  in
+  let harvest_relay r = relay_counters := Relay.counters r :: !relay_counters in
 
   (* --- audit table: committed (tenant, version) -> checksum --- *)
   let audit = Hashtbl.create 8 in
@@ -509,7 +496,7 @@ let run ?(obs = Obs.noop) ~dir config =
     record_all ()
   in
 
-  (* --- published-set evolution (as in Soak) --- *)
+  (* --- published-set evolution --- *)
   let fresh_token () = Printf.sprintf "x%06x" (Prng.int mutate_rng 0xFFFFFF) in
   let next_pub_id = Hashtbl.create 8 in
   let fresh_id tenant =
@@ -535,6 +522,17 @@ let run ?(obs = Obs.noop) ~dir config =
           Signature.make ~id:(fresh_id tenant) ~mode:Signature.Conjunction
             ~cluster_size:(1 + Prng.int mutate_rng 9)
             [ "leak"; tenant; fresh_token (); "imei=" ^ fresh_token () ])
+    in
+    let current =
+      match current with
+      | s :: _ when Prng.chance mutate_rng 0.3 ->
+        (* Modify one in place: same id, new tokens. *)
+        Changelog.apply_change current
+          (Changelog.Add
+             (Signature.make ~id:s.Signature.id ~mode:s.Signature.mode
+                ~cluster_size:s.Signature.cluster_size
+                [ "leak"; tenant; fresh_token () ]))
+      | _ -> current
     in
     let current =
       if List.length current > 3 && Prng.chance mutate_rng 0.3 then
@@ -672,7 +670,7 @@ let run ?(obs = Obs.noop) ~dir config =
     incr epoch_flips_done;
     let target =
       (* Odd flips widen to the standby set, even flips shrink back. *)
-      if !epoch_flips_done mod 2 = 1 then wide_names else base_names
+      if !epoch_flips_done mod 2 = 1 then all_names else base_names
     in
     let before = !map in
     (match Shard_map.advance before ~origins:target with
@@ -807,7 +805,7 @@ let run ?(obs = Obs.noop) ~dir config =
     incr origin_requests;
     route_421 c.plan c.known raw
   in
-  let check_sync c (acc : phase_acc) =
+  let check_sync c acc =
     let before = Delta_client.counters c.dc in
     let sync_report =
       Delta_client.sync_via c.dc
@@ -818,15 +816,16 @@ let run ?(obs = Obs.noop) ~dir config =
     (match sync_report.Signature_client.outcome with
     | Signature_client.Updated v ->
       if after.Delta_client.delta_updates > before.Delta_client.delta_updates
-      then acc.a_delta <- acc.a_delta + 1
-      else acc.a_snapshot <- acc.a_snapshot + 1;
+      then acc := { !acc with delta = !acc.delta + 1 }
+      else acc := { !acc with snapshot = !acc.snapshot + 1 };
       (match Hashtbl.find_opt (audit_of c.tenant) v with
       | Some sum when sum = Delta_client.checksum c.dc -> ()
       | _ -> incr divergences);
       if v < c.prev_version then incr regressions;
       c.prev_version <- v
-    | Signature_client.Unchanged -> acc.a_unchanged <- acc.a_unchanged + 1
-    | Signature_client.Failed _ -> acc.a_failed <- acc.a_failed + 1);
+    | Signature_client.Unchanged ->
+      acc := { !acc with unchanged = !acc.unchanged + 1 }
+    | Signature_client.Failed _ -> acc := { !acc with failed = !acc.failed + 1 });
     if Prng.chance c.rng config.client_restart_rate then begin
       incr client_restarts;
       harvest_client c.dc;
@@ -866,17 +865,19 @@ let run ?(obs = Obs.noop) ~dir config =
                 Relay.inject_fork relays.(i) ~tenant)
             tenants
         | `Report (tenant, reporter, sigs, attempts) -> (
-          (* Reports enter through the relay tier and are forwarded. *)
-          let rix = Prng.int server_rng config.relays in
-          let transport raw =
-            faulty_call reporter_plan (relay_server rix) raw
+          (* Reports enter through the relay tier and are forwarded; with
+             no relays they go straight to the owning origin. *)
+          let server =
+            if config.relays = 0 then
+              Authority.wire_transport !(origin (owner_of tenant))
+            else relay_server (Prng.int server_rng config.relays)
           in
+          let transport raw = faulty_call reporter_plan server raw in
           match post_candidates ~transport ~tenant ~reporter sigs with
-          | Ok (a, d, p, cap) ->
+          | Ok (a, d, cap) ->
             accepted_reports := !accepted_reports + a;
             duplicate_reports := !duplicate_reports + d;
             capped_reports := !capped_reports + cap;
-            ignore p;
             record_committed tenant
           | Error _ ->
             if attempts > 1 then
@@ -1004,24 +1005,30 @@ let run ?(obs = Obs.noop) ~dir config =
   let final_versions = List.map (fun t -> (t, final_version t)) tenants in
   let tenant_owners = List.map (fun t -> (t, owner_of t)) tenants in
   List.iter (fun name -> Authority.close !(origin name)) all_names;
-  let rc = !acc_relay in
+  let client_sum f = List.fold_left (fun n k -> n + f k) 0 !client_counters in
+  let relay_sum f = List.fold_left (fun n c -> n + f c) 0 !relay_counters in
   let total_requests = !relay_requests + !origin_requests in
   let offload =
     float_of_int !relay_requests /. float_of_int (max 1 total_requests)
   in
+  let steady_delta_ratio =
+    float_of_int (!steady.delta + !drain.delta)
+    /. float_of_int (max 1 (!steady.snapshot + !drain.snapshot))
+  in
   let report =
     {
       config;
-      ramp = freeze ramp;
-      steady = freeze steady;
-      drain = freeze drain;
+      ramp = !ramp;
+      steady = !steady;
+      drain = !drain;
       relay_requests = !relay_requests;
       origin_requests = !origin_requests;
       offload;
-      escalations = !acc_escalations;
-      fork_smells = !acc_fork_smells;
-      forced_full = !acc_forced_full;
-      regressions_refused = !acc_regr_refused;
+      escalations = client_sum (fun k -> k.Delta_client.escalations);
+      fork_smells = client_sum (fun k -> k.Delta_client.fork_smells);
+      forced_full = client_sum (fun k -> k.Delta_client.forced_full);
+      regressions_refused =
+        client_sum (fun k -> k.Delta_client.regressions_refused);
       misdirected_follows = !misdirected_follows;
       origin_crashes = !origin_crashes;
       torn_tails = !torn_tails;
@@ -1032,22 +1039,23 @@ let run ?(obs = Obs.noop) ~dir config =
       epoch_flips_done = !epoch_flips_done;
       migrations = !migrations;
       final_epoch = Shard_map.epoch !map;
-      relay_sync_rounds = rc.Relay.sync_rounds;
-      relay_sync_failures = rc.Relay.sync_failures;
-      relay_resnapshots = rc.Relay.resnapshots;
+      relay_sync_rounds = relay_sum (fun c -> c.Relay.sync_rounds);
+      relay_sync_failures = relay_sum (fun c -> c.Relay.sync_failures);
+      relay_resnapshots = relay_sum (fun c -> c.Relay.resnapshots);
       relay_served =
-        rc.Relay.served_delta + rc.Relay.served_snapshot
-        + rc.Relay.served_not_modified;
-      relay_unready = rc.Relay.served_unready;
-      relay_inconsistent = rc.Relay.served_inconsistent;
-      gossip_rounds = rc.Relay.gossip_rounds;
-      gossip_catchups = rc.Relay.gossip_catchups;
-      repairs = rc.Relay.repairs;
-      repair_bytes = rc.Relay.repair_bytes;
-      resnapshot_bytes = rc.Relay.resnapshot_bytes;
+        relay_sum (fun c ->
+            c.Relay.served_delta + c.Relay.served_snapshot
+            + c.Relay.served_not_modified);
+      relay_unready = relay_sum (fun c -> c.Relay.served_unready);
+      relay_inconsistent = relay_sum (fun c -> c.Relay.served_inconsistent);
+      gossip_rounds = relay_sum (fun c -> c.Relay.gossip_rounds);
+      gossip_catchups = relay_sum (fun c -> c.Relay.gossip_catchups);
+      repairs = relay_sum (fun c -> c.Relay.repairs);
+      repair_bytes = relay_sum (fun c -> c.Relay.repair_bytes);
+      resnapshot_bytes = relay_sum (fun c -> c.Relay.resnapshot_bytes);
       forks_done = !forks_done;
-      forwarded_reports = rc.Relay.forwarded;
-      forward_failures = rc.Relay.forward_failures;
+      forwarded_reports = relay_sum (fun c -> c.Relay.forwarded);
+      forward_failures = relay_sum (fun c -> c.Relay.forward_failures);
       client_restarts = !client_restarts;
       compactions = !compactions;
       promotions;
@@ -1068,6 +1076,7 @@ let run ?(obs = Obs.noop) ~dir config =
           relay_divergences = !relay_divergences;
           staleness_lapses = !staleness_lapses;
         };
+      steady_delta_ratio;
     }
   in
   if not (Obs.is_noop obs) then begin
@@ -1078,6 +1087,12 @@ let run ?(obs = Obs.noop) ~dir config =
     gauge "leakdetect_topology_unconverged"
       "Clients that never converged to the post-rebalance owner."
       report.invariants.unconverged;
+    gauge "leakdetect_topology_sub_k_promotions"
+      "Promotions below the k threshold in the topology soak."
+      report.invariants.sub_k_promotions;
+    gauge "leakdetect_topology_origin_crashes"
+      "Origin crash points taken in the topology soak."
+      report.origin_crashes;
     gauge "leakdetect_topology_offload_permille"
       "Relay share of client sync requests, in permille."
       (int_of_float (offload *. 1000.))
@@ -1204,6 +1219,7 @@ let report_to_json r =
             ("relay_divergences", Json.Int r.invariants.relay_divergences);
             ("staleness_lapses", Json.Int r.invariants.staleness_lapses);
           ] );
+      ("steady_delta_ratio", Json.Float r.steady_delta_ratio);
       ("ok", Json.Bool (ok r));
     ]
 
@@ -1255,15 +1271,8 @@ let summary r =
         r.invariants.sub_k_promotions r.invariants.recovery_mismatches
         r.invariants.unconverged r.invariants.relay_divergences
         r.invariants.staleness_lapses;
+      Printf.sprintf "  steady delta:snapshot ratio %.1f" r.steady_delta_ratio;
       (if ok r then "  OK"
-       else if
-         r.invariants.divergences = 0
-         && r.invariants.regressions = 0
-         && r.invariants.sub_k_promotions = 0
-         && r.invariants.recovery_mismatches = 0
-         && r.invariants.unconverged = 0
-         && r.invariants.relay_divergences = 0
-         && r.invariants.staleness_lapses = 0
-       then "  OFFLOAD BELOW FLOOR"
+       else if invariants_hold r then "  OFFLOAD BELOW FLOOR"
        else "  INVARIANT VIOLATION");
     ]

@@ -1,12 +1,12 @@
-(** Deterministic multi-node soak: N sharded origins × M relays ×
+(** Deterministic distribution soak: N sharded origins × M relays ×
     hundreds of clients, driven tick by tick from one PRNG seed.
 
     The topology under test is the full horizontal tier:
 
     - origins partition tenants by a {!Shard_map} (rendezvous hashing at
       an explicit epoch); every origin journals to its own directory and
-      crashes/recovers mid-publish and mid-compaction like the
-      single-origin {!Soak};
+      crashes/recovers mid-publish and mid-compaction, sometimes leaving
+      a torn journal tail;
     - relays ({!Relay}) sync each tenant from its owning origin through a
       faulty transport and re-serve the fleet, fail-static across
       partitions;
@@ -35,14 +35,27 @@
     committed state; and after a bounded drain every client converges to
     its tenant's post-rebalance owner's head.  The origin-offload ratio
     (client sync requests absorbed by relays) is reported and gated at
-    [min_offload]. *)
+    [min_offload].
+
+    The single-origin soak is the configuration [origins = 1],
+    [standby_origins = 0], [relays = 0], [epoch_flips = 0]: clients sync
+    straight from the origin, candidate reports are POSTed to it, and
+    the offload floor does not apply.  The relay hostilities
+    ([partitions], [relay_crashes], [fork_injections],
+    [byzantine_relays]) need relays and are refused without them.
+
+    The run has three client phases: {b ramp} (the first third of the
+    ticks: fresh clients bootstrap, full downloads expected), {b steady}
+    (the warm fleet tracks mutations, which flow through the first nine
+    tenths of the ticks — delta sync must dominate here) and {b drain}
+    (bounded extra rounds for stragglers, faults still on). *)
 
 type config = {
   origins : int;  (** Origins in the initial shard map. *)
   standby_origins : int;
       (** Extra origins that join the map at odd epoch flips (and leave
           again at even ones) — the migration driver. *)
-  relays : int;
+  relays : int;  (** 0 removes the relay tier: clients sync from origins. *)
   byzantine_relays : int;
       (** Of the relays, how many serve corrupted bytes (rate below). *)
   byzantine_corrupt_rate : float;
@@ -86,8 +99,8 @@ val default_config : config
     1 epoch flip, offload floor 0.8, seed 42. *)
 
 type phase_counters = {
-  delta : int;
-  snapshot : int;
+  delta : int;  (** Updated syncs assembled from a changelog suffix. *)
+  snapshot : int;  (** Updated syncs downloaded in full. *)
   unchanged : int;
   failed : int;
 }
@@ -161,15 +174,21 @@ type report = {
   final_versions : (string * int) list;
   tenant_owners : (string * string) list;  (** Post-rebalance owners. *)
   invariants : invariants;
+  steady_delta_ratio : float;
+      (** Steady+drain delta updates per snapshot update (the delta count
+          itself when no snapshot was needed). *)
 }
 
 val ok : report -> bool
-(** All invariants zero {e and} [offload >= min_offload]. *)
+(** All invariants zero {e and}, when there are relays,
+    [offload >= min_offload]. *)
 
 val run : ?obs:Leakdetect_obs.Obs.t -> dir:string -> config -> report
 (** Run the topology soak; [dir] gets one journal directory per origin.
     Deterministic in [config.seed].
-    @raise Invalid_argument on a nonsensical config. *)
+    @raise Invalid_argument on a nonsensical config (negative counts,
+    rates outside [\[0, 1\]], relay hostilities without relays...),
+    before any directory is created. *)
 
 val report_to_json : report -> Leakdetect_util.Json.t
 (** Self-contained artifact: the full config (every rate and the seed)

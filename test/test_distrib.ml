@@ -1,7 +1,7 @@
 (* Tests for the distribution tier (Leakdetect_distrib): changelog
    algebra and codec, authority HTTP protocol and k-anonymous promotion,
-   journal crash-point sweeps, the delta client's fallback ladder, and a
-   miniature end-to-end fault soak. *)
+   journal crash-point sweeps, the delta client's fallback ladder, and
+   miniature end-to-end soaks (single origin, and the relayed topology). *)
 
 module Crc32 = Leakdetect_util.Crc32
 module Fault = Leakdetect_fault.Fault
@@ -15,7 +15,6 @@ module Authority = Leakdetect_distrib.Authority
 module Delta_client = Leakdetect_distrib.Delta_client
 module Shard_map = Leakdetect_distrib.Shard_map
 module Relay = Leakdetect_distrib.Relay
-module Soak = Leakdetect_distrib.Soak
 module Topology = Leakdetect_distrib.Topology
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -610,36 +609,110 @@ let test_delta_client_refuses_regression () =
   Alcotest.(check bool) "refusals counted" true
     (k.Delta_client.regressions_refused > 0)
 
-(* --- mini soak: end-to-end, faults and crash points on --- *)
+(* --- mini soak: single origin, no relays, faults and crash points on --- *)
+
+let single_origin =
+  {
+    Topology.default_config with
+    Topology.origins = 1;
+    standby_origins = 0;
+    relays = 0;
+    byzantine_relays = 0;
+    partitions = 0;
+    relay_crashes = 0;
+    epoch_flips = 0;
+    fork_injections = 0;
+    clients = 24;
+    tenants = 2;
+    ticks = 240;
+    sync_period = 12;
+    publishes = 10;
+    compact_every = 4;
+    candidates = 3;
+    byzantine = 1;
+    origin_crash_rate = 0.25;
+    client_restart_rate = 0.01;
+    drain_rounds = 30;
+    seed = 5;
+  }
+
+(* Shared by both mini soaks: every invariant at zero, the run passes its
+   gates, and the fault plans actually fired. *)
+let check_soak_ok report =
+  let inv = report.Topology.invariants in
+  Alcotest.(check int) "no divergence" 0 inv.Topology.divergences;
+  Alcotest.(check int) "no regressions" 0 inv.Topology.regressions;
+  Alcotest.(check int) "no sub-k promotions" 0 inv.Topology.sub_k_promotions;
+  Alcotest.(check int) "no recovery mismatches" 0
+    inv.Topology.recovery_mismatches;
+  Alcotest.(check int) "everyone converged" 0 inv.Topology.unconverged;
+  Alcotest.(check bool) "ok" true (Topology.ok report);
+  Alcotest.(check bool) "faults actually fired" true
+    (List.exists (fun (_, n) -> n > 0) report.Topology.fault_events)
 
 let test_mini_soak () =
   with_dir (fun dir ->
-      let config =
-        {
-          Soak.default_config with
-          Soak.clients = 24;
-          ticks = 240;
-          sync_period = 12;
-          publishes = 10;
-          compact_every = 4;
-          candidates = 3;
-          byzantine = 1;
-          drain_rounds = 30;
-          seed = 5;
-        }
-      in
-      let report = Soak.run ~dir config in
-      let inv = report.Soak.invariants in
-      Alcotest.(check int) "no divergence" 0 inv.Soak.divergences;
-      Alcotest.(check int) "no regressions" 0 inv.Soak.regressions;
-      Alcotest.(check int) "no sub-k promotions" 0 inv.Soak.sub_k_promotions;
-      Alcotest.(check int) "no recovery mismatches" 0 inv.Soak.recovery_mismatches;
-      Alcotest.(check int) "everyone converged" 0 inv.Soak.unconverged;
-      Alcotest.(check bool) "ok" true (Soak.ok report);
-      Alcotest.(check bool) "faults actually fired" true
-        (List.exists (fun (_, n) -> n > 0) report.Soak.fault_events);
+      let report = Topology.run ~dir single_origin in
+      check_soak_ok report;
       Alcotest.(check bool) "deltas dominate snapshots" true
-        (report.Soak.steady_delta_ratio >= 1.0))
+        (report.Topology.steady_delta_ratio >= 1.0);
+      Alcotest.(check int) "no relay traffic" 0 report.Topology.relay_requests)
+
+let test_single_origin_deterministic () =
+  let json () =
+    with_dir (fun dir ->
+        Leakdetect_util.Json.to_string
+          (Topology.report_to_json (Topology.run ~dir single_origin)))
+  in
+  Alcotest.(check string) "same seed, same report" (json ()) (json ())
+
+(* Every count that must not be negative, every rate that must lie in
+   [0, 1], and the relay hostilities that need a relay tier: each is
+   refused before the run creates its directory. *)
+let test_topology_rejects_nonsense () =
+  let d = Topology.default_config in
+  let no_relays = { single_origin with Topology.relays = 0 } in
+  let fault f = { d with Topology.fault = f d.Topology.fault } in
+  let cases =
+    [
+      ("candidates", { d with Topology.candidates = -1 });
+      ("byzantine", { d with Topology.byzantine = -1 });
+      ("partitions", { d with Topology.partitions = -2 });
+      ("relay_crashes", { d with Topology.relay_crashes = -1 });
+      ("epoch_flips", { d with Topology.epoch_flips = -1 });
+      ("compact_every", { d with Topology.compact_every = -1 });
+      ("byzantine_corrupt_rate", { d with Topology.byzantine_corrupt_rate = 1.5 });
+      ("origin_crash_rate", { d with Topology.origin_crash_rate = -0.1 });
+      ("client_restart_rate", { d with Topology.client_restart_rate = 2. });
+      ("min_offload", { d with Topology.min_offload = -0.5 });
+      ("drop_rate", fault (fun f -> { f with Fault.drop_rate = -0.5 }));
+      ("corrupt_rate", fault (fun f -> { f with Fault.corrupt_rate = 1.1 }));
+      ("truncate_rate", fault (fun f -> { f with Fault.truncate_rate = -1. }));
+      ("duplicate_rate", fault (fun f -> { f with Fault.duplicate_rate = 3. }));
+      ("delay_rate", fault (fun f -> { f with Fault.delay_rate = -0.01 }));
+      ( "server_error_rate",
+        fault (fun f -> { f with Fault.server_error_rate = 1.01 }) );
+      ("crash_rate", fault (fun f -> { f with Fault.crash_rate = Float.nan }));
+      ("torn_write_rate", fault (fun f -> { f with Fault.torn_write_rate = -2. }));
+      ("reencode_rate", fault (fun f -> { f with Fault.reencode_rate = 1.5 }));
+      ("no relays: partitions", { no_relays with Topology.partitions = 1 });
+      ("no relays: relay_crashes", { no_relays with Topology.relay_crashes = 1 });
+      ( "no relays: fork_injections",
+        { no_relays with Topology.fork_injections = 1 } );
+      ( "no relays: byzantine_relays",
+        { no_relays with Topology.byzantine_relays = 1 } );
+    ]
+  in
+  with_dir (fun root ->
+      List.iter
+        (fun (name, config) ->
+          let dir = Filename.concat root "never" in
+          (match Topology.run ~dir config with
+          | _ -> Alcotest.failf "%s: nonsensical config accepted" name
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check bool) (name ^ ": no directory") false
+            (Sys.file_exists dir))
+        cases)
 
 (* --- changelog: the compaction boundary, keep = 0 included --- *)
 
@@ -1412,6 +1485,25 @@ let test_sync_via_rotates_past_dead_relay () =
   Alcotest.(check int) "no escalation for a mere dead relay" 0
     k.Delta_client.escalations
 
+let test_sync_via_without_relays () =
+  let auth = Authority.create () in
+  ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+  ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  let direct = new_client "t0" and via = new_client "t0" in
+  ignore (Delta_client.sync direct ~transport:(loss_free auth));
+  (match
+     (Delta_client.sync_via via ~relays:[] ~origin:(loss_free auth))
+       .Signature_client.outcome
+   with
+  | Signature_client.Updated 2 -> ()
+  | _ -> Alcotest.fail "a relay-less sync must land on the head");
+  Alcotest.(check int) "same version" (Delta_client.version direct)
+    (Delta_client.version via);
+  Alcotest.(check int) "same checksum" (Delta_client.checksum direct)
+    (Delta_client.checksum via);
+  Alcotest.(check int) "no escalation" 0
+    (Delta_client.counters via).Delta_client.escalations
+
 (* --- mini topology soak: the full tier end to end --- *)
 
 let test_mini_topology () =
@@ -1435,21 +1527,12 @@ let test_mini_topology () =
         }
       in
       let report = Topology.run ~dir config in
-      let inv = report.Topology.invariants in
-      Alcotest.(check int) "no divergence" 0 inv.Topology.divergences;
-      Alcotest.(check int) "no regressions" 0 inv.Topology.regressions;
-      Alcotest.(check int) "no sub-k promotions" 0 inv.Topology.sub_k_promotions;
-      Alcotest.(check int) "no recovery mismatches" 0
-        inv.Topology.recovery_mismatches;
-      Alcotest.(check int) "everyone converged" 0 inv.Topology.unconverged;
-      Alcotest.(check bool) "ok" true (Topology.ok report);
+      check_soak_ok report;
       Alcotest.(check int) "the epoch flipped" 1 report.Topology.epoch_flips_done;
       Alcotest.(check int) "partitions ran" 2 report.Topology.partitions_done;
       Alcotest.(check int) "the relay crashed" 1 report.Topology.relay_crashes_done;
       Alcotest.(check bool) "relays carried most of the load" true
-        (report.Topology.offload > 0.5);
-      Alcotest.(check bool) "faults actually fired" true
-        (List.exists (fun (_, n) -> n > 0) report.Topology.fault_events))
+        (report.Topology.offload > 0.5))
 
 let suite =
   [ ( "distrib.changelog",
@@ -1500,7 +1583,9 @@ let suite =
         Alcotest.test_case "escalates past byzantine relays" `Quick
           test_sync_via_escalates_past_byzantine_relay;
         Alcotest.test_case "rotates past a dead relay" `Quick
-          test_sync_via_rotates_past_dead_relay ] );
+          test_sync_via_rotates_past_dead_relay;
+        Alcotest.test_case "no relays is a plain sync" `Quick
+          test_sync_via_without_relays ] );
     ( "distrib.sharding",
       [ Alcotest.test_case "shard gate" `Quick test_authority_shard_gate;
         Alcotest.test_case "export / adopt / release" `Quick
@@ -1520,4 +1605,8 @@ let suite =
           test_relay_version_age_and_metrics ] );
     ( "distrib.soak",
       [ Alcotest.test_case "mini soak" `Quick test_mini_soak;
+        Alcotest.test_case "single origin deterministic" `Quick
+          test_single_origin_deterministic;
+        Alcotest.test_case "rejects nonsense" `Quick
+          test_topology_rejects_nonsense;
         Alcotest.test_case "mini topology" `Quick test_mini_topology ] ) ]
