@@ -8,8 +8,8 @@
      evaluate   full pipeline with the paper's TP/FN/FP metrics
      monitor    replay a trace through the on-device flow-control app
      chaos      fault-injection soak over the ingest/distribute/enforce path,
-                including crash/recover trials against the durable store
-     store      recover and inspect a durable signature-state directory
+                including crash/recover trials against the authority journal
+     store      recover and inspect a signature authority's state directory
      evade      adversarial mutation replay: per-mutator recall with and
                 without the canonicalization lattice
      soak       distribution soak: delta-sync clients against journaled origins,
@@ -41,9 +41,8 @@ module Sample = Leakdetect_util.Sample
 module Fault = Leakdetect_fault.Fault
 module Flow_control = Leakdetect_monitor.Flow_control
 module Signature_client = Leakdetect_monitor.Signature_client
-module Signature_server = Leakdetect_monitor.Signature_server
-module Store = Leakdetect_store.Store
 module Wal = Leakdetect_store.Wal
+module Crc32 = Leakdetect_util.Crc32
 module Pool = Leakdetect_parallel.Pool
 module Payload_check = Leakdetect_core.Payload_check
 module Request = Leakdetect_http.Request
@@ -54,6 +53,8 @@ module Mutator = Leakdetect_adversary.Mutator
 module Harness = Leakdetect_adversary.Harness
 module Json = Leakdetect_util.Json
 module Topology = Leakdetect_distrib.Topology
+module Authority = Leakdetect_distrib.Authority
+module Delta_client = Leakdetect_distrib.Delta_client
 
 let exit_err fmt = Printf.ksprintf (fun m -> prerr_endline ("leakdetect: " ^ m); exit 1) fmt
 
@@ -653,6 +654,23 @@ let spit path contents =
   output_string oc contents;
   close_out oc
 
+(* A fresh temporary directory, removed when the process exits (error
+   exits included). *)
+let temp_dir prefix =
+  let d = Filename.temp_file prefix "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  at_exit (fun () -> if Sys.file_exists d then rm_rf d);
+  d
+
+(* The [--state-dir] when given (created if missing, kept afterwards),
+   else a temporary directory. *)
+let state_root ~prefix = function
+  | Some d ->
+    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+    d
+  | None -> temp_dir prefix
+
 let chaos_cmd =
   let run () seed scale n corrupt truncate drop duplicate delay server_error syncs
       fail_closed limit crash_points crash_rate torn_write_rate state_dir =
@@ -668,6 +686,12 @@ let chaos_cmd =
         torn_write_rate;
       }
     in
+    (* Refuse nonsense before the (slow) workload generation. *)
+    (match Fault.validate fault_config with
+    | () -> ()
+    | exception Invalid_argument m -> exit_err "%s" m);
+    if syncs < 1 then exit_err "--syncs must be at least 1";
+    if crash_points < 0 then exit_err "--crash-points must not be negative";
     let soak () =
       (* Fault-free baseline: workload, signatures, whole-trace detection. *)
       let ds = Workload.generate ~seed ~scale () in
@@ -722,16 +746,48 @@ let chaos_cmd =
       if n_recovered < n_delivered - damaged then
         exit_err "recovered %d < intact lower bound %d" n_recovered (n_delivered - damaged);
 
-      (* Signature-sync soak: the server publishes growing signature sets
-         while the resilient client syncs over a faulty transport. *)
-      let server = Signature_server.create () in
-      let client = Signature_client.create ~seed:(seed + 2) () in
+      (* Signature-sync soak: a single-tenant authority, journaled under
+         <state>/history, publishes growing signature sets while the delta
+         client syncs over a faulty transport. *)
+      let state_root = state_root ~prefix:"leakdetect_state" state_dir in
+      let history_dir = Filename.concat state_root "history" in
+      if Sys.file_exists history_dir then rm_rf history_dir;
+      let reopen dir what =
+        match Authority.open_ ~dir () with
+        | Ok x -> x
+        | Error e -> exit_err "%s: %s" what e
+      in
+      let tenant = "chaos" in
+      let authority, _report = reopen history_dir "cannot open journal" in
+      let serialize sigs = String.concat "\n" (List.map Signature_io.to_line sigs) in
+      (* What a committed state is: the tenant's version, checksum and
+         serialized set. *)
+      let witness a =
+        ( Authority.version a ~tenant,
+          Authority.checksum a ~tenant,
+          serialize (Authority.signatures a ~tenant) )
+      in
+      (* Committed history: the witness after every journaled change,
+         keyed by the journal size at which it became durable.  Every
+         Add/Retire is a committed state, so a checkpoint precedes each
+         change of a publish; offset 0 covers crash points inside the log
+         header itself. *)
+      let initial = (0, witness authority) in
+      let history = ref [ initial ] in
+      let checkpoint () =
+        let size = Authority.wal_size authority in
+        if fst (List.hd !history) <> size then
+          history := (size, witness authority) :: !history
+      in
+      let all_signatures = Array.of_list baseline.Pipeline.signatures in
+      let n_sigs = Array.length all_signatures in
+      let client = Delta_client.create ~seed:(seed + 2) ~tenant () in
       let sync_plan = Fault.create ~seed:(seed + 3) fault_config in
       let delayed_ticks = ref 0 in
       let transport raw =
         let through raw =
           match
-            Signature_server.wire_transport server (Fault.corrupt_string sync_plan raw)
+            Authority.wire_transport authority (Fault.corrupt_string sync_plan raw)
           with
           | Ok response -> Ok (Fault.corrupt_string sync_plan response)
           | Error _ as e -> e
@@ -743,44 +799,43 @@ let chaos_cmd =
           through raw
         | Fault.Respond -> through raw
       in
-      let fetch = Signature_server.fetch_via ~transport in
-      let all_signatures = Array.of_list baseline.Pipeline.signatures in
-      let n_sigs = Array.length all_signatures in
       let total_attempts = ref 0 and total_waited = ref 0 and failed_syncs = ref 0 in
-      let record_report (r : Signature_client.sync_report) =
+      let sync () =
+        let r = Delta_client.sync client ~transport in
         total_attempts := !total_attempts + r.Signature_client.attempts;
         total_waited := !total_waited + r.Signature_client.waited;
         match r.Signature_client.outcome with
         | Signature_client.Failed _ -> incr failed_syncs
         | _ -> ()
       in
+      let head () = Authority.version authority ~tenant in
       Printf.printf "\nsync: %d rounds against %d signatures\n" syncs n_sigs;
       for round = 1 to syncs do
-        let upto = max 1 (n_sigs * round / syncs) in
-        let chunk = Array.to_list (Array.sub all_signatures 0 upto) in
-        ignore (Signature_server.publish server chunk);
-        record_report (Signature_client.sync client ~fetch)
+        let upto = if n_sigs = 0 then 0 else max 1 (n_sigs * round / syncs) in
+        ignore
+          (Authority.publish authority
+             ~inject:(fun _ -> checkpoint ())
+             ~tenant
+             (Array.to_list (Array.sub all_signatures 0 upto)));
+        checkpoint ();
+        sync ()
       done;
       (* Catch-up: keep syncing until the client holds the latest version. *)
       let extra = ref 0 in
-      while
-        Signature_client.version client < Signature_server.current_version server
-        && !extra < 50
-      do
+      while Delta_client.version client < head () && !extra < 50 do
         incr extra;
-        record_report (Signature_client.sync client ~fetch)
+        sync ()
       done;
-      let st = Signature_client.staleness client in
+      let st = Delta_client.staleness client in
       Printf.printf
-        "sync done: client v%d / server v%d after %d extra syncs; %d attempts, %d failed syncs, %d backoff + %d delay ticks, health %s\n"
-        (Signature_client.version client)
-        (Signature_server.current_version server)
-        !extra !total_attempts !failed_syncs !total_waited !delayed_ticks
-        (Signature_client.health_to_string (Signature_client.health client));
+        "sync done: client v%d / authority v%d after %d extra syncs; %d attempts, %d failed syncs, %d backoff + %d delay ticks, health %s\n"
+        (Delta_client.version client) (head ()) !extra !total_attempts !failed_syncs
+        !total_waited !delayed_ticks
+        (Signature_client.health_to_string (Delta_client.health client));
       Printf.printf "staleness: %d failed syncs, %d failed attempts, version gap %d\n"
         st.Signature_client.failed_syncs st.Signature_client.failed_attempts
         st.Signature_client.version_gap;
-      if Signature_client.version client <> Signature_server.current_version server then
+      if Delta_client.version client <> head () then
         exit_err "client failed to converge to the latest signature version";
 
       (* Enforcement under the synced set: replay recovered packets through
@@ -788,9 +843,9 @@ let chaos_cmd =
       let monitor =
         Flow_control.create
           ~fail_mode:(if fail_closed then Flow_control.Fail_closed else Flow_control.Fail_open)
-          (Signature_client.signatures client)
+          (Delta_client.signatures client)
       in
-      Flow_control.set_health monitor (Signature_client.health client);
+      Flow_control.set_health monitor (Delta_client.health client);
       let replay = List.filteri (fun i _ -> i < limit) recovered in
       List.iter
         (fun (r : Trace.record) ->
@@ -805,7 +860,7 @@ let chaos_cmd =
 
       (* Detection delta: the synced signatures over the recovered records
          against the fault-free detection rate. *)
-      let detector = Detector.create (Signature_client.signatures client) in
+      let detector = Detector.create (Delta_client.signatures client) in
       let chaos_detected =
         Detector.count_detected detector
           (Array.of_list (List.map (fun r -> r.Trace.packet) recovered))
@@ -820,162 +875,109 @@ let chaos_cmd =
         base_detected total base_rate chaos_detected n_recovered chaos_rate
         (chaos_rate -. base_rate);
 
-      (* Durability soak: replay the publish/sync history through the WAL,
-         then crash the log at plan-chosen byte offsets (with torn-write
+      (* Durability soak: restart the authority from its journal, then
+         crash the journal at plan-chosen byte offsets (with torn-write
          damage on the committed image), recover each time, and check the
          recovered state against the committed history. *)
-      let state_root, cleanup_root =
-        match state_dir with
-        | Some d ->
-          if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-          (d, false)
-        | None ->
-          let d = Filename.temp_file "leakdetect_state" "" in
-          Sys.remove d;
-          Sys.mkdir d 0o755;
-          (d, true)
-      in
       let dur_plan = Fault.create ~seed:(seed + 4) fault_config in
-      Fun.protect
-        ~finally:(fun () -> if cleanup_root then rm_rf state_root)
-        (fun () ->
-          let history_dir = Filename.concat state_root "history" in
-          if Sys.file_exists history_dir then rm_rf history_dir;
-          let store, _report =
-            match Store.open_ ~dir:history_dir () with
-            | Ok x -> x
-            | Error e -> exit_err "cannot open store %s: %s" history_dir e
-          in
-          (* Committed history: state after every logged entry, keyed by the
-             WAL size at which it became durable.  Offset 0 covers crash
-             points inside the log header itself. *)
-          let dur_server = Signature_server.create () in
-          let dur_client = Signature_client.create ~seed:(seed + 5) () in
-          let history = ref [ (0, Store.state store) ] in
-          let checkpoint () =
-            if fst (List.hd !history) <> Store.wal_size store then
-              history := (Store.wal_size store, Store.state store) :: !history
-          in
-          for round = 1 to syncs do
-            let upto = max 1 (n_sigs * round / syncs) in
-            ignore
-              (Signature_server.publish dur_server
-                 (Array.to_list (Array.sub all_signatures 0 upto)));
-            Store.record_publish store dur_server;
-            checkpoint ();
-            ignore
-              (Signature_client.sync dur_client
-                 ~fetch:(Signature_server.fetch dur_server));
-            Store.record_sync store dur_client;
-            checkpoint ()
-          done;
-          let final_state = Store.state store in
-          let boundaries = List.rev_map fst !history in
-          Store.close store;
-          let wal_image = slurp (Store.wal_path ~dir:history_dir) in
+      let final = witness authority in
+      let boundaries = List.rev_map fst !history in
+      Authority.close authority;
+      let wal_image = slurp (Authority.wal_path ~dir:history_dir) in
 
-          (* Uninterrupted recovery must restore the exact final state and
-             a byte-identical signature set. *)
-          let recovered_sigs =
-            match Store.open_ ~dir:history_dir () with
-            | Error e -> exit_err "clean recovery failed: %s" e
-            | Ok (store', report) ->
-              if report.Store.tail <> Wal.Clean then
-                exit_err "clean log reported a torn tail: %s"
-                  (Store.report_to_string report);
-              if not (Store.state_equal (Store.state store') final_state) then
-                exit_err "clean recovery diverged from the pre-restart state";
-              let sigs = Signature_client.signatures (Store.restore_client store') in
-              Store.close store';
-              sigs
-          in
-          let serialize sigs = String.concat "\n" (List.map Signature_io.to_line sigs) in
-          if serialize recovered_sigs <> serialize (Signature_client.signatures dur_client)
-          then exit_err "recovered signature set is not byte-identical";
-          let recovered_detected =
-            Detector.count_detected (Detector.create recovered_sigs) (Workload.packets ds)
-          in
-          Printf.printf
-            "\ndurability: %d committed checkpoints (%d WAL bytes); clean recovery detects %d/%d (baseline %d)\n"
-            (List.length !history - 1)
-            (String.length wal_image) recovered_detected total base_detected;
-          if recovered_detected <> base_detected then
-            exit_err "post-recovery detection diverged from the fault-free baseline";
+      (* Uninterrupted recovery must restore the exact final state, and
+         the synced device must be told (with a verified checksum) that
+         its set is still current. *)
+      let recovered_sigs =
+        let authority', report = reopen history_dir "clean recovery failed" in
+        if report.Authority.tail <> Wal.Clean then
+          exit_err "clean log reported a torn tail: %s"
+            (Authority.report_to_string report);
+        if witness authority' <> final then
+          exit_err "clean recovery diverged from the pre-restart state";
+        (match
+           (Delta_client.sync client ~transport:(Authority.wire_transport authority'))
+             .Signature_client.outcome
+         with
+        | Signature_client.Unchanged -> ()
+        | _ -> exit_err "recovered authority did not confirm the synced set");
+        let sigs = Authority.signatures authority' ~tenant in
+        Authority.close authority';
+        sigs
+      in
+      let recovered_detected =
+        Detector.count_detected (Detector.create recovered_sigs) (Workload.packets ds)
+      in
+      Printf.printf
+        "\ndurability: %d committed checkpoints (%d journal bytes); clean recovery detects %d/%d (baseline %d)\n"
+        (List.length !history - 1)
+        (String.length wal_image) recovered_detected total base_detected;
+      if recovered_detected <> base_detected then
+        exit_err "post-recovery detection diverged from the fault-free baseline";
 
-          (* Crash-point loop: every trial must recover to a committed
-             state — the exact pre-crash one unless torn-write damage
-             forced an earlier truncation. *)
-          let last_record_start =
-            match boundaries with
-            | _ :: _ ->
-              List.fold_left
-                (fun acc b -> if b < String.length wal_image then max acc b else acc)
-                0 boundaries
-            | [] -> 0
-          in
-          let exact = ref 0 and earlier = ref 0 in
-          for trial = 1 to crash_points do
-            let torn_before = Fault.count dur_plan Fault.Torn_write in
-            let damaged =
-              Fault.torn_write dur_plan ~protect:(String.length Wal.magic)
-                ~tail_start:last_record_start wal_image
-            in
-            let torn_fired = Fault.count dur_plan Fault.Torn_write > torn_before in
-            let cut =
-              match Fault.crash_point dur_plan ~len:(String.length damaged) with
-              | Some off -> off
-              | None -> String.length damaged
-            in
-            let damaged = String.sub damaged 0 cut in
-            let crash_dir = Filename.concat state_root (Printf.sprintf "crash%d" trial) in
-            if Sys.file_exists crash_dir then rm_rf crash_dir;
-            Sys.mkdir crash_dir 0o755;
-            spit (Store.wal_path ~dir:crash_dir) damaged;
-            (match Store.open_ ~dir:crash_dir () with
-            | Error e -> exit_err "trial %d: recovery failed: %s" trial e
-            | Ok (store', _report) ->
-              let recovered = Store.state store' in
-              Store.close store';
-              let expected =
-                List.fold_left
-                  (fun acc (off, st) ->
-                    match acc with
-                    | Some (best, _) when best >= off -> acc
-                    | _ when off <= cut -> Some (off, st)
-                    | _ -> acc)
-                  None !history
-                |> Option.map snd
-                |> Option.value ~default:Store.empty_state
-              in
-              if (not torn_fired) && not (Store.state_equal recovered expected) then
-                exit_err "trial %d: crash at byte %d did not restore the committed state"
-                  trial cut;
-              if Store.state_equal recovered expected then incr exact
-              else if List.exists (fun (_, st) -> Store.state_equal recovered st) !history
-              then incr earlier
-              else
-                exit_err "trial %d: recovery produced a state that was never committed"
-                  trial);
-            rm_rf crash_dir
-          done;
-          Printf.printf
-            "durability: %d crash trials — %d exact pre-crash restores, %d truncated to an earlier committed state\n"
-            crash_points !exact !earlier;
+      (* Crash-point loop: every trial must recover to a committed state —
+         the exact pre-crash one unless torn-write damage forced an earlier
+         truncation. *)
+      let last_record_start =
+        List.fold_left
+          (fun acc b -> if b < String.length wal_image then max acc b else acc)
+          0 boundaries
+      in
+      let exact = ref 0 and earlier = ref 0 in
+      for trial = 1 to crash_points do
+        let torn_before = Fault.count dur_plan Fault.Torn_write in
+        let damaged =
+          Fault.torn_write dur_plan ~protect:(String.length Wal.magic)
+            ~tail_start:last_record_start wal_image
+        in
+        let torn_fired = Fault.count dur_plan Fault.Torn_write > torn_before in
+        let cut =
+          match Fault.crash_point dur_plan ~len:(String.length damaged) with
+          | Some off -> off
+          | None -> String.length damaged
+        in
+        let damaged = String.sub damaged 0 cut in
+        let crash_dir = Filename.concat state_root (Printf.sprintf "crash%d" trial) in
+        if Sys.file_exists crash_dir then rm_rf crash_dir;
+        Sys.mkdir crash_dir 0o755;
+        spit (Authority.wal_path ~dir:crash_dir) damaged;
+        let authority', _report =
+          reopen crash_dir (Printf.sprintf "trial %d: recovery failed" trial)
+        in
+        let recovered = witness authority' in
+        Authority.close authority';
+        (* The newest state committed at or before the cut. *)
+        let expected =
+          snd
+            (List.fold_left
+               (fun (best, w) (off, w') ->
+                 if off <= cut && off > best then (off, w') else (best, w))
+               initial !history)
+        in
+        if (not torn_fired) && recovered <> expected then
+          exit_err "trial %d: crash at byte %d did not restore the committed state"
+            trial cut;
+        if recovered = expected then incr exact
+        else if List.exists (fun (_, w) -> w = recovered) !history then incr earlier
+        else
+          exit_err "trial %d: recovery produced a state that was never committed"
+            trial;
+        rm_rf crash_dir
+      done;
+      Printf.printf
+        "durability: %d crash trials — %d exact pre-crash restores, %d truncated to an earlier committed state\n"
+        crash_points !exact !earlier;
 
-          (* Compaction: snapshot + log reset must preserve the state. *)
-          match Store.open_ ~dir:history_dir () with
-          | Error e -> exit_err "reopen for compaction failed: %s" e
-          | Ok (store', _) ->
-            Store.compact store';
-            Store.close store';
-            (match Store.open_ ~dir:history_dir () with
-            | Error e -> exit_err "post-compaction recovery failed: %s" e
-            | Ok (store'', report) ->
-              if not (Store.state_equal (Store.state store'') final_state) then
-                exit_err "compaction changed the recovered state";
-              Printf.printf "durability: compaction ok (%s)\n"
-                (Store.report_to_string report);
-              Store.close store''));
+      (* Compaction: snapshot + journal reset must preserve the state. *)
+      let authority', _ = reopen history_dir "reopen for compaction failed" in
+      Authority.compact authority';
+      Authority.close authority';
+      let authority'', report = reopen history_dir "post-compaction recovery failed" in
+      if witness authority'' <> final then
+        exit_err "compaction changed the recovered state";
+      Printf.printf "durability: compaction ok (%s)\n"
+        (Authority.report_to_string report);
+      Authority.close authority'';
 
       Printf.printf "\nfaults injected:\n";
       List.iter
@@ -1048,8 +1050,9 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "End-to-end fault-injection soak: generate a workload, ship it through a \
-          faulty wire, sync signatures through the resilient client, crash and \
-          recover the durable signature store, and report recovery.")
+          faulty wire, sync signatures from a single-tenant authority through the \
+          delta client, crash and recover the authority's journal, and report \
+          recovery.")
     Term.(const run $ setup_log_t $ seed_t $ scale_small $ n_small $ corrupt $ truncate
           $ drop $ duplicate $ delay $ server_error $ syncs $ fail_closed $ limit
           $ crash_points $ crash_rate $ torn_write_rate $ state_dir)
@@ -1058,24 +1061,30 @@ let chaos_cmd =
 
 let store_cmd =
   let run () dir compact =
-    match Store.open_ ~dir () with
-    | Error e -> exit_err "cannot open store %s: %s" dir e
-    | Ok (store, report) ->
-      Printf.printf "state dir: %s\nrecovery:  %s\n" dir (Store.report_to_string report);
-      let st = Store.state store in
-      Printf.printf "server:    v%d, %d signature(s)\n" st.Store.server_version
-        (List.length st.Store.server_signatures);
-      Printf.printf "client:    v%d, %d signature(s), health %s\n" st.Store.client_version
-        (List.length st.Store.client_signatures)
-        (Signature_client.health_to_string st.Store.client_health);
-      Printf.printf "wal:       %d byte(s) at %s\n" (Store.wal_size store)
-        (Store.wal_path ~dir);
+    (* Inspect, never create: a mistyped path must not read as an empty
+       store. *)
+    let journal = Authority.wal_path ~dir in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      exit_err "%s: no such state directory" dir;
+    if not (Sys.file_exists journal) then exit_err "%s: no journal at %s" dir journal;
+    match Authority.open_ ~dir () with
+    | Error e -> exit_err "cannot open %s: %s" dir e
+    | Ok (authority, report) ->
+      Printf.printf "state dir: %s\nrecovery:  %s\n" dir (Authority.report_to_string report);
+      List.iter
+        (fun tenant ->
+          Printf.printf "tenant:    %s v%d, %d signature(s), checksum %s\n" tenant
+            (Authority.version authority ~tenant)
+            (List.length (Authority.signatures authority ~tenant))
+            (Crc32.to_hex (Authority.checksum authority ~tenant)))
+        (Authority.tenants authority);
+      Printf.printf "journal:   %d byte(s) at %s\n" (Authority.wal_size authority) journal;
       if compact then begin
-        Store.compact store;
-        Printf.printf "compacted: snapshot written, log reset to %d byte(s)\n"
-          (Store.wal_size store)
+        Authority.compact authority;
+        Printf.printf "compacted: snapshot written, journal reset to %d byte(s)\n"
+          (Authority.wal_size authority)
       end;
-      Store.close store
+      Authority.close authority
   in
   let dir =
     Arg.(required
@@ -1085,13 +1094,13 @@ let store_cmd =
   let compact =
     Arg.(value & flag
         & info [ "compact" ]
-            ~doc:"Fold the recovered state into an atomic snapshot and reset the log.")
+            ~doc:"Fold the recovered state into an atomic snapshot and reset the journal.")
   in
   Cmd.v
     (Cmd.info "store"
        ~doc:
-         "Recover a durable signature-state directory and report what was salvaged; \
-          optionally compact the write-ahead log into a snapshot.")
+         "Recover a signature authority's state directory and report what was \
+          salvaged; optionally compact the journal into a snapshot.")
     Term.(const run $ setup_log_t $ dir $ compact)
 
 (* --- trace --- *)
@@ -1185,45 +1194,40 @@ let trace_cmd =
     Printf.printf "pipeline: %d suspicious / %d normal packets -> %d signatures\n"
       (Array.length suspicious) (Array.length normal) (List.length signatures);
 
-    (* Distribution: publish the set in growing chunks while an instrumented
-       client follows, journaling every step through an instrumented store so
-       the server/client/store families move too. *)
-    let server = Signature_server.create ~obs () in
-    let client = Signature_client.create ~obs ~seed:(seed + 1) () in
-    let state_dir = Filename.temp_file "leakdetect_trace" "" in
-    Sys.remove state_dir;
-    Sys.mkdir state_dir 0o755;
-    Fun.protect
-      ~finally:(fun () -> rm_rf state_dir)
-      (fun () ->
-        let store, _report =
-          match Store.open_ ~obs ~dir:state_dir () with
-          | Ok x -> x
-          | Error e -> exit_err "cannot open store %s: %s" state_dir e
-        in
-        let all = Array.of_list signatures in
-        let n_sigs = Array.length all in
-        for round = 1 to syncs do
-          let upto = if n_sigs = 0 then 0 else max 1 (n_sigs * round / syncs) in
-          ignore
-            (Signature_server.publish server (Array.to_list (Array.sub all 0 upto)));
-          Store.record_publish store server;
-          ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
-          Store.record_sync store client
-        done;
-        (* One sync against an unchanged server, for the `unchanged` outcome. *)
-        ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
-        Store.compact store;
-        Store.close store);
-    Printf.printf "distribution: server v%d, client v%d (%d publish/sync rounds)\n"
-      (Signature_server.current_version server)
-      (Signature_client.version client)
+    (* Distribution: a journaled single-tenant authority publishes the set
+       in growing chunks while an instrumented delta client follows, so the
+       authority (journal included) and client families move too. *)
+    let tenant = "trace" in
+    let client = Delta_client.create ~obs ~seed:(seed + 1) ~tenant () in
+    let state_dir = temp_dir "leakdetect_trace" in
+    let authority, _report =
+      match Authority.open_ ~obs ~dir:state_dir () with
+      | Ok x -> x
+      | Error e -> exit_err "cannot open journal %s: %s" state_dir e
+    in
+    let sync () =
+      ignore (Delta_client.sync client ~transport:(Authority.wire_transport authority))
+    in
+    let all = Array.of_list signatures in
+    let n_sigs = Array.length all in
+    for round = 1 to syncs do
+      let upto = if n_sigs = 0 then 0 else max 1 (n_sigs * round / syncs) in
+      ignore (Authority.publish authority ~tenant (Array.to_list (Array.sub all 0 upto)));
+      sync ()
+    done;
+    (* One sync against an unchanged authority, for the `unchanged` outcome. *)
+    sync ();
+    Authority.compact authority;
+    Authority.close authority;
+    Printf.printf "distribution: authority v%d, client v%d (%d publish/sync rounds)\n"
+      (Authority.version authority ~tenant)
+      (Delta_client.version client)
       syncs;
 
     (* Enforcement: replay through the monitor, then cross-check the O(1)
        stats against the event log and the obs counters. *)
     let monitor =
-      Flow_control.create ~obs ?normalize (Signature_client.signatures client)
+      Flow_control.create ~obs ?normalize (Delta_client.signatures client)
     in
     let replayed = min limit (Array.length records) in
     for i = 0 to replayed - 1 do
@@ -1238,13 +1242,13 @@ let trace_cmd =
       "enforcement: %d replayed, %d allowed, %d blocked, %d prompted (stats reconciled)\n"
       replayed allowed blocked prompted;
 
-    (* Scrape through the server's real /metrics endpoint. *)
+    (* Scrape through the authority's real /metrics endpoint. *)
     let response =
-      Signature_server.handle server
-        (Request.make Request.GET Signature_server.metrics_endpoint)
+      Authority.handle authority
+        (Request.make Request.GET Authority.metrics_endpoint)
     in
     if response.Response.status <> 200 then
-      exit_err "GET %s answered %d" Signature_server.metrics_endpoint
+      exit_err "GET %s answered %d" Authority.metrics_endpoint
         response.Response.status;
     let scrape = response.Response.body in
     (match metrics_out with
@@ -1279,7 +1283,7 @@ let trace_cmd =
   in
   let syncs =
     Arg.(value & opt int 3
-        & info [ "syncs" ] ~docv:"N" ~doc:"Publish/sync rounds against the signature server.")
+        & info [ "syncs" ] ~docv:"N" ~doc:"Publish/sync rounds against the signature authority.")
   in
   let metrics_out =
     Arg.(value
@@ -1453,28 +1457,10 @@ let soak_cmd =
       }
     in
     let obs = if metrics_out <> None then Obs.create () else Obs.noop in
-    let state_root, cleanup_root =
-      match state_dir with
-      | Some d ->
-        if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-        (d, false)
-      | None ->
-        let d = Filename.temp_file "leakdetect_soak" "" in
-        Sys.remove d;
-        Sys.mkdir d 0o755;
-        (d, true)
-    in
     let report =
-      (* [exit_err] outside the protect, so the scratch root is removed
-         even when the config is refused. *)
-      match
-        Fun.protect
-          ~finally:(fun () -> if cleanup_root then rm_rf state_root)
-          (fun () ->
-            let dir = Filename.concat state_root "topology" in
-            if Sys.file_exists dir then rm_rf dir;
-            Topology.run ~obs ~dir config)
-      with
+      let dir = Filename.concat (state_root ~prefix:"leakdetect_soak" state_dir) "topology" in
+      if Sys.file_exists dir then rm_rf dir;
+      match Topology.run ~obs ~dir config with
       | report -> report
       | exception Invalid_argument m -> exit_err "%s" m
     in

@@ -1,6 +1,9 @@
-(** The multi-tenant signature authority: the distribution tier grown out
-    of {!Leakdetect_monitor.Signature_server} (Fig. 3's generation server)
-    for fleet-scale operation.
+(** The signature authority: the generation server of Fig. 3, which
+    publishes signature sets for devices to fetch, grown to serve many
+    tenants.  It is the repository's only distribution protocol (devices
+    speak it through {!Delta_client}) and its only journaled state
+    machine; a single-tenant instance drives [leakdetect chaos] and
+    [leakdetect trace], and [leakdetect store] inspects its directory.
 
     Per tenant it keeps a {!Changelog} — a monotonically versioned log of
     [Add]/[Retire] entries — and a crowdsourced candidate table.  Three
@@ -17,10 +20,12 @@
       submitted it, and a per-reporter cap on pending candidates keeps a
       hostile client from flooding the table.
     - {b Crash-recoverable versions.}  Every accepted mutation (changelog
-      entry, candidate report) is journaled through the {!Leakdetect_store}
-      WAL before it is applied, so recovery replays to the exact committed
-      changelog; compaction snapshots atomically with the same idempotent
-      crash window as {!Leakdetect_store.Store.compact}.
+      entry, candidate report) is journaled through the
+      {!Leakdetect_store.Wal} before it is applied, so recovery replays to
+      the exact committed changelog; {!compact} writes an atomic
+      {!Leakdetect_store.Snapshot} and then resets the journal, and
+      version-gated replay makes the crash window between the two
+      harmless.
 
     Tenant and reporter ids are restricted to [A-Za-z0-9._:-] (max 64
     chars) so they embed safely in journal lines and query strings. *)
@@ -78,6 +83,9 @@ val open_ :
     their k-th report and the promotion entry. *)
 
 val close : t -> unit
+
+val wal_path : dir:string -> string
+(** The journal file inside an {!open_} directory ([dir/journal.log]). *)
 
 exception Crashed of string
 (** Raised by the [?inject] hooks below to simulate the process dying at
@@ -144,8 +152,8 @@ val compact : ?inject:(string -> unit) -> t -> unit
 (** Fold every tenant's changelog down to [compact_keep] live entries,
     snapshot the state atomically, and reset the journal.  [?inject] is
     called at ["pre_snapshot"] and ["post_snapshot"] — the second is the
-    Store-style crash window (new snapshot, old log) that idempotent
-    replay must absorb.  A shard assignment is re-journaled into the
+    crash window (new snapshot, old log) that idempotent replay must
+    absorb.  A shard assignment is re-journaled into the
     fresh log (the snapshot codec carries tenants only). *)
 
 (** {1 Sharding and rebalance}

@@ -212,7 +212,6 @@ let validate config =
         ("relay_crashes", config.relay_crashes);
         ("fork_injections", config.fork_injections);
       ];
-  let f = config.fault in
   List.iter
     (fun (name, r) ->
       (* Written so that NaN fails too. *)
@@ -222,16 +221,8 @@ let validate config =
       ("origin_crash_rate", config.origin_crash_rate);
       ("client_restart_rate", config.client_restart_rate);
       ("min_offload", config.min_offload);
-      ("corrupt_rate", f.Fault.corrupt_rate);
-      ("truncate_rate", f.Fault.truncate_rate);
-      ("drop_rate", f.Fault.drop_rate);
-      ("duplicate_rate", f.Fault.duplicate_rate);
-      ("delay_rate", f.Fault.delay_rate);
-      ("server_error_rate", f.Fault.server_error_rate);
-      ("crash_rate", f.Fault.crash_rate);
-      ("torn_write_rate", f.Fault.torn_write_rate);
-      ("reencode_rate", f.Fault.reencode_rate);
-    ]
+    ];
+  Fault.validate config.fault
 
 let tenant_name i = Printf.sprintf "tenant%d" i
 let origin_name i = Printf.sprintf "origin%d" i
@@ -410,7 +401,7 @@ let run ?(obs = Obs.noop) ~dir config =
     Authority.close !auth_ref;
     if Prng.chance server_rng 0.5 then begin
       incr torn_tails;
-      let path = Filename.concat odir "journal.log" in
+      let path = Authority.wal_path ~dir:odir in
       let frame = Leakdetect_store.Wal.frame "torn garbage payload" in
       let partial = String.sub frame 0 (String.length frame - 3) in
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in

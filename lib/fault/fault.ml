@@ -84,7 +84,27 @@ type plan = {
   mutable next_seq : int;
 }
 
-let create ~seed config = { config; rng = Prng.create seed; events = []; next_seq = 0 }
+let validate c =
+  List.iter
+    (fun (name, r) ->
+      (* Written so that NaN fails too. *)
+      if not (r >= 0. && r <= 1.) then
+        invalid_arg (Printf.sprintf "Fault: %s outside [0, 1]" name))
+    [
+      ("corrupt_rate", c.corrupt_rate);
+      ("truncate_rate", c.truncate_rate);
+      ("drop_rate", c.drop_rate);
+      ("duplicate_rate", c.duplicate_rate);
+      ("delay_rate", c.delay_rate);
+      ("server_error_rate", c.server_error_rate);
+      ("crash_rate", c.crash_rate);
+      ("torn_write_rate", c.torn_write_rate);
+      ("reencode_rate", c.reencode_rate);
+    ]
+
+let create ~seed config =
+  validate config;
+  { config; rng = Prng.create seed; events = []; next_seq = 0 }
 let config t = t.config
 
 let record t kind detail =

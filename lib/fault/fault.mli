@@ -59,7 +59,13 @@ type event = { seq : int; kind : kind; detail : string }
 
 type plan
 
+val validate : config -> unit
+(** @raise Invalid_argument naming the first rate that is NaN or lies
+    outside 0..1. *)
+
 val create : seed:int -> config -> plan
+(** A fresh plan; {!validate}s the config first. *)
+
 val config : plan -> config
 
 val events : plan -> event list

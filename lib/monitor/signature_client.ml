@@ -9,12 +9,6 @@ let health_to_string = function
   | Degraded -> "degraded"
   | Stale -> "stale"
 
-let health_of_string = function
-  | "healthy" -> Some Healthy
-  | "degraded" -> Some Degraded
-  | "stale" -> Some Stale
-  | _ -> None
-
 type jitter_mode = Equal | Decorrelated
 
 type config = {
@@ -62,20 +56,6 @@ let create ?(config = default_config) ?(obs = Obs.noop) ?(seed = 0) () =
     last_error = None;
     prev_backoff = config.base_backoff;
   }
-
-let restore ?config ?obs ?seed ~version ~signatures ~health () =
-  if version < 0 then invalid_arg "Signature_client.restore: version < 0";
-  let t = create ?config ?obs ?seed () in
-  t.version <- version;
-  t.signatures <- signatures;
-  t.health <- health;
-  (* A restart wipes the failure counters: the restored set is
-     last-known-good, and staleness is re-established by live syncs. *)
-  (match health with
-  | Healthy -> ()
-  | Degraded -> t.failed_syncs <- 1
-  | Stale -> t.failed_syncs <- t.config.stale_after);
-  t
 
 let version t = t.version
 let signatures t = t.signatures

@@ -3,10 +3,11 @@
     The paper's deployment (Sec. V) keeps on-device detectors supplied with
     fresh signatures from the generation server; in practice that link
     sees corrupt bytes, transient server errors and delays.  This client
-    wraps a fetch function (typically {!Signature_server.fetch} or a
-    fault-injected transport via {!Signature_server.fetch_via}) in a retry
-    loop with exponential backoff and deterministic jitter, keeps a bounded
-    per-sync attempt budget, and tracks a health state machine:
+    wraps a fetch function (in practice the delta protocol of
+    [Leakdetect_distrib.Delta_client], over a possibly fault-injected
+    transport) in a retry loop with exponential backoff and deterministic
+    jitter, keeps a bounded per-sync attempt budget, and tracks a health
+    state machine:
 
     - [Healthy]: the last sync succeeded;
     - [Degraded]: recent syncs failed but fewer than [stale_after] in a
@@ -25,10 +26,6 @@
 type health = Healthy | Degraded | Stale
 
 val health_to_string : health -> string
-
-val health_of_string : string -> health option
-(** Inverse of {!health_to_string}; [None] on anything else.  Used by the
-    durable store to decode persisted health transitions. *)
 
 type jitter_mode =
   | Equal
@@ -63,22 +60,6 @@ val create : ?config:config -> ?obs:Leakdetect_obs.Obs.t -> ?seed:int -> unit ->
     (default noop) records per-sync counters
     ([leakdetect_client_syncs_total{outcome}], attempt and backoff-tick
     totals) and the version / health gauges, plus a [client.sync] span. *)
-
-val restore :
-  ?config:config ->
-  ?obs:Leakdetect_obs.Obs.t ->
-  ?seed:int ->
-  version:int ->
-  signatures:Leakdetect_core.Signature.t list ->
-  health:health ->
-  unit ->
-  t
-(** Rebuild a client from recovered durable state ({!Leakdetect_store})
-    after a restart: the given set becomes last-known-good and the next
-    sync fetches with [since:version].  Failure counters restart at the
-    floor implied by [health] ([Degraded] → one failed sync, [Stale] →
-    [stale_after]); per-attempt history does not survive the crash.
-    @raise Invalid_argument on a negative version. *)
 
 val version : t -> int
 (** Last-known-good signature version (0 before the first update). *)

@@ -117,8 +117,6 @@ end
 let duration_buckets =
   [ 0.0001; 0.0005; 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10. ]
 
-let size_buckets = [ 64.; 256.; 1024.; 4096.; 16384.; 65536.; 262144.; 1048576.; 4194304. ]
-
 let ratio_buckets = [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99; 1.0 ]
 
 (* --- registry --- *)

@@ -86,9 +86,6 @@ val histogram :
 val duration_buckets : float list
 (** Default latency buckets, in seconds: 100us .. 10s. *)
 
-val size_buckets : float list
-(** Default size buckets, in bytes: 64 B .. 4 MiB. *)
-
 val ratio_buckets : float list
 (** Buckets for rates in [0, 1] (recall, hit ratios): 0.1 .. 1.0. *)
 

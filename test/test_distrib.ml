@@ -233,6 +233,8 @@ let test_authority_http_statuses () =
   in
   check_status "unknown path" 404 (get "/nope");
   check_status "POST on /signatures" 405 (post "/signatures?tenant=t0" "");
+  Alcotest.(check (option string)) "405 names the allowed method" (Some "GET")
+    (header (Authority.handle auth (post "/signatures?tenant=t0" "")) "Allow");
   check_status "GET on /candidates" 405 (get "/candidates?tenant=t0&reporter=r");
   check_status "missing tenant" 400 (get "/signatures");
   check_status "bad tenant id" 400 (get "/signatures?tenant=bad%20id");
@@ -495,16 +497,20 @@ let test_promotion_crash_recovers () =
         (Authority.version auth' ~tenant:"t0");
       Authority.close auth')
 
+let append_journal dir bytes =
+  let oc =
+    open_out_gen [ Open_append; Open_binary ] 0o644 (Authority.wal_path ~dir)
+  in
+  output_string oc bytes;
+  close_out oc
+
 let test_torn_journal_tail () =
   with_dir (fun dir ->
       let auth, _ = reopen ~dir in
       publish_sets auth;
       let v0 = Authority.version auth ~tenant:"t0" in
       Authority.close auth;
-      let path = Filename.concat dir "journal.log" in
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_string oc "torn garbage that is not a frame";
-      close_out oc;
+      append_journal dir "torn garbage that is not a frame";
       let auth', rep = reopen ~dir in
       (match rep.Authority.tail with
       | Wal.Torn _ -> ()
@@ -512,6 +518,217 @@ let test_torn_journal_tail () =
       Alcotest.(check int) "committed versions survive the tear" v0
         (Authority.version auth' ~tenant:"t0");
       Authority.close auth')
+
+(* --- the store: the authority journal as [leakdetect store] sees it --- *)
+
+let tenant = "t0"
+
+(* What a committed state is: version, checksum and serialized set. *)
+let witness auth =
+  ( Authority.version auth ~tenant,
+    Authority.checksum auth ~tenant,
+    lines (Authority.signatures auth ~tenant) )
+
+let check_witness msg expected auth =
+  let v, sum, set = expected and v', sum', set' = witness auth in
+  Alcotest.(check int) (msg ^ ": version") v v';
+  Alcotest.(check int) (msg ^ ": checksum") sum sum';
+  Alcotest.(check string) (msg ^ ": set") set set'
+
+(* Two publishes: v2, then v3. *)
+let publish_two auth =
+  ignore (Authority.publish auth ~tenant [ s1; s2 ]);
+  ignore (Authority.publish auth ~tenant [ s1; s2; s3 ])
+
+(* Die inside [compact] between the snapshot rename and the journal
+   reset: new snapshot, old journal. *)
+let crash_in_compaction auth =
+  try
+    Authority.compact
+      ~inject:(fun p -> if p = "post_snapshot" then raise (Authority.Crashed p))
+      auth
+  with Authority.Crashed _ -> ()
+
+let append_frames dir payloads =
+  append_journal dir (String.concat "" (List.map Wal.frame payloads))
+
+(* A checksum-valid record that is not a journal entry is counted and
+   skipped; the records around it still replay. *)
+let test_store_journal_codec () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      ignore (Authority.publish auth ~tenant [ s1; s2 ]);
+      Authority.close auth;
+      append_frames dir [ "mystery\t1"; "change\tbad tenant!\t1\tadd"; "" ];
+      let auth, report = reopen ~dir in
+      Alcotest.(check int) "undecodable records counted" 3
+        report.Authority.undecodable;
+      Alcotest.(check bool) "tail clean" true (report.Authority.tail = Wal.Clean);
+      ignore (Authority.publish auth ~tenant [ s1; s2; s3 ]);
+      let live = witness auth in
+      Authority.close auth;
+      let auth', report' = reopen ~dir in
+      Alcotest.(check int) "still skipped on the next replay" 3
+        report'.Authority.undecodable;
+      check_witness "entries after the junk replay" live auth';
+      Authority.close auth')
+
+(* A duplicated tail record (torn rewrite), an older record replayed
+   after newer ones, and the old journal replayed over the snapshot
+   written just before a compaction crash are all version-gated
+   no-ops. *)
+let test_store_replay_idempotent () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      let live = witness auth in
+      crash_in_compaction auth;
+      Authority.close auth;
+      let auth', report = reopen ~dir in
+      Alcotest.(check bool) "snapshot loaded" true
+        (report.Authority.snapshot = Authority.Loaded);
+      Alcotest.(check (pair int int)) "old journal replays as stale no-ops"
+        (3, 3) (report.Authority.replayed, report.Authority.stale);
+      check_witness "state not double-applied" live auth';
+      Authority.close auth');
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      let live = witness auth in
+      Authority.close auth;
+      let payloads =
+        match Wal.read (Authority.wal_path ~dir) with
+        | Ok (payloads, _) -> payloads
+        | Error e -> Alcotest.fail e
+      in
+      append_frames dir [ List.nth payloads 2; List.hd payloads ];
+      let auth', report = reopen ~dir in
+      Alcotest.(check int) "every record replayed" 5 report.Authority.replayed;
+      Alcotest.(check int) "duplicate and older record are stale" 2
+        report.Authority.stale;
+      check_witness "state not moved" live auth';
+      Authority.close auth')
+
+let test_store_compact_reopen () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      let live = witness auth in
+      Authority.compact auth;
+      Alcotest.(check int) "compaction resets the journal"
+        (String.length Wal.magic) (Authority.wal_size auth);
+      Authority.close auth;
+      let auth', report = reopen ~dir in
+      Alcotest.(check bool) "snapshot loaded" true
+        (report.Authority.snapshot = Authority.Loaded);
+      Alcotest.(check int) "no journal left to replay" 0 report.Authority.replayed;
+      check_witness "state preserved across compaction" live auth';
+      Authority.close auth')
+
+let test_store_corrupt_snapshot_falls_back () =
+  let corrupt_and_reopen dir =
+    Out_channel.with_open_bin (Filename.concat dir "snapshot") (fun oc ->
+        output_string oc "garbage, not a snapshot");
+    let auth, report = reopen ~dir in
+    (match report.Authority.snapshot with
+    | Authority.Corrupt _ -> ()
+    | _ -> Alcotest.fail "damaged snapshot must be reported as corrupt");
+    (auth, report)
+  in
+  (* Crash between the snapshot rename and the journal reset, then damage
+     the snapshot: the full journal is still there, so journal-only
+     replay restores the exact state. *)
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      let live = witness auth in
+      crash_in_compaction auth;
+      Authority.close auth;
+      let auth', report = corrupt_and_reopen dir in
+      Alcotest.(check int) "journal-only replay applies every entry" 0
+        report.Authority.stale;
+      check_witness "journal-only replay restores the state" live auth';
+      Authority.close auth');
+  (* After a completed compaction the journal holds only the later
+     changes; with the snapshot gone they have no base to apply to, so
+     recovery replays them as stale rather than inventing a state. *)
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      Authority.compact auth;
+      (* Retires s1 and s2: two changes. *)
+      ignore (Authority.publish auth ~tenant [ s3 ]);
+      Authority.close auth;
+      let auth', report = corrupt_and_reopen dir in
+      Alcotest.(check int) "post-compaction entries replayed" 2
+        report.Authority.replayed;
+      Alcotest.(check int) "none applicable without the base" 2
+        report.Authority.stale;
+      Alcotest.(check int) "no fabricated version" 0
+        (Authority.version auth' ~tenant);
+      Authority.close auth')
+
+let test_store_torn_tail_truncated () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      let live = witness auth in
+      Authority.close auth;
+      append_journal dir "torn garbage that is not a full frame";
+      let auth', report = reopen ~dir in
+      (match report.Authority.tail with
+      | Wal.Torn _ -> ()
+      | Wal.Clean -> Alcotest.fail "garbage tail must be reported torn");
+      check_witness "committed entries survive" live auth';
+      (* The repair rewrote the journal: reopening is clean and appends
+         work. *)
+      ignore (Authority.publish auth' ~tenant [ s3 ]);
+      let repaired = witness auth' in
+      Authority.close auth';
+      let auth'', report'' = reopen ~dir in
+      Alcotest.(check bool) "clean after repair" true
+        (report''.Authority.tail = Wal.Clean);
+      check_witness "post-repair publish survives" repaired auth'';
+      Authority.close auth'')
+
+(* A device synced before the restart is confirmed current by the
+   recovered authority (the version-bound checksum survives replay), and
+   versions continue from the recovered head. *)
+let test_store_restore_endpoints () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_two auth;
+      let client = Delta_client.create ~tenant () in
+      let sync auth =
+        (Delta_client.sync client ~transport:(Authority.wire_transport auth))
+          .Signature_client.outcome
+      in
+      (match sync auth with
+      | Signature_client.Updated _ -> ()
+      | _ -> Alcotest.fail "loss-free sync must update");
+      Authority.close auth;
+      let auth', _ = reopen ~dir in
+      (match sync auth' with
+      | Signature_client.Unchanged -> ()
+      | _ -> Alcotest.fail "recovered authority must confirm the synced set");
+      Alcotest.(check int) "client still at the head" 3 (Delta_client.version client);
+      Alcotest.(check int) "versions continue after recovery" 4
+        (Authority.publish auth' ~tenant [ s1; s2; s3; sig_ 4 [ "imsi=2400800" ] ]);
+      (match sync auth' with
+      | Signature_client.Updated v -> Alcotest.(check int) "delta applies" 4 v
+      | _ -> Alcotest.fail "post-recovery publish must reach the client");
+      Authority.close auth')
+
+(* Rate-0 fault plans are strict identities on log bytes. *)
+let prop_rate0_log_identity =
+  QCheck.Test.make ~name:"rate-0 plan never touches log bytes" ~count:200
+    QCheck.(string_of_size Gen.(0 -- 200))
+    (fun s ->
+      let plan = Fault.create ~seed:11 Fault.none in
+      Fault.torn_write plan ~protect:8 ~tail_start:(String.length s / 2) s = s
+      && Fault.crash_point plan ~len:(String.length s) = None
+      && Fault.total plan = 0)
+
 
 (* --- delta client --- *)
 
@@ -685,16 +902,9 @@ let test_topology_rejects_nonsense () =
       ("origin_crash_rate", { d with Topology.origin_crash_rate = -0.1 });
       ("client_restart_rate", { d with Topology.client_restart_rate = 2. });
       ("min_offload", { d with Topology.min_offload = -0.5 });
-      ("drop_rate", fault (fun f -> { f with Fault.drop_rate = -0.5 }));
-      ("corrupt_rate", fault (fun f -> { f with Fault.corrupt_rate = 1.1 }));
-      ("truncate_rate", fault (fun f -> { f with Fault.truncate_rate = -1. }));
-      ("duplicate_rate", fault (fun f -> { f with Fault.duplicate_rate = 3. }));
-      ("delay_rate", fault (fun f -> { f with Fault.delay_rate = -0.01 }));
-      ( "server_error_rate",
-        fault (fun f -> { f with Fault.server_error_rate = 1.01 }) );
-      ("crash_rate", fault (fun f -> { f with Fault.crash_rate = Float.nan }));
-      ("torn_write_rate", fault (fun f -> { f with Fault.torn_write_rate = -2. }));
-      ("reencode_rate", fault (fun f -> { f with Fault.reencode_rate = 1.5 }));
+    ]
+    @ List.map (fun (name, bad) -> (name, fault bad)) Test_fault.bad_rates
+    @ [
       ("no relays: partitions", { no_relays with Topology.partitions = 1 });
       ("no relays: relay_crashes", { no_relays with Topology.relay_crashes = 1 });
       ( "no relays: fork_injections",
@@ -1570,6 +1780,17 @@ let suite =
         Alcotest.test_case "promotion crash recovers" `Quick
           test_promotion_crash_recovers;
         Alcotest.test_case "torn journal tail" `Quick test_torn_journal_tail ] );
+    (* Named for the [leakdetect store] view of the authority journal. *)
+    ( "store.store",
+      [ Alcotest.test_case "entry codec" `Quick test_store_journal_codec;
+        Alcotest.test_case "apply idempotent" `Quick test_store_replay_idempotent;
+        Alcotest.test_case "compact + reopen" `Quick test_store_compact_reopen;
+        Alcotest.test_case "corrupt snapshot falls back" `Quick
+          test_store_corrupt_snapshot_falls_back;
+        Alcotest.test_case "torn tail truncated" `Quick
+          test_store_torn_tail_truncated;
+        Alcotest.test_case "restore endpoints" `Quick test_store_restore_endpoints;
+        qtest prop_rate0_log_identity ] );
     ( "distrib.delta_client",
       [ Alcotest.test_case "happy path" `Quick test_delta_client_happy_path;
         Alcotest.test_case "horizon gap falls back" `Quick

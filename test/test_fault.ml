@@ -1,9 +1,12 @@
 (* Tests for the fault-injection subsystem (Leakdetect_fault), the
-   resilient signature client, the flow-control fail modes and the
+   resilient signature client (driven through the delta protocol against
+   a single-tenant authority), the flow-control fail modes and the
    hardened parsers they exercise. *)
 
 open Leakdetect_monitor
 module Fault = Leakdetect_fault.Fault
+module Authority = Leakdetect_distrib.Authority
+module Delta_client = Leakdetect_distrib.Delta_client
 module Headers = Leakdetect_http.Headers
 module Packet = Leakdetect_http.Packet
 module Request = Leakdetect_http.Request
@@ -28,6 +31,35 @@ let mk ?(rline = "GET /benign HTTP/1.1") () =
 let leak_packet () = mk ~rline:"GET /ad?imei=355021930123456 HTTP/1.1" ()
 
 (* --- Fault plans --- *)
+
+(* One out-of-range (or NaN) value per rate field.  The topology soak's
+   config check reuses these rows. *)
+let bad_rates : (string * (Fault.config -> Fault.config)) list =
+  [
+    ("drop_rate", fun f -> { f with Fault.drop_rate = -0.5 });
+    ("corrupt_rate", fun f -> { f with Fault.corrupt_rate = 1.1 });
+    ("truncate_rate", fun f -> { f with Fault.truncate_rate = -1. });
+    ("duplicate_rate", fun f -> { f with Fault.duplicate_rate = 3. });
+    ("delay_rate", fun f -> { f with Fault.delay_rate = -0.01 });
+    ("server_error_rate", fun f -> { f with Fault.server_error_rate = 1.01 });
+    ("crash_rate", fun f -> { f with Fault.crash_rate = Float.nan });
+    ("torn_write_rate", fun f -> { f with Fault.torn_write_rate = -2. });
+    ("reencode_rate", fun f -> { f with Fault.reencode_rate = 1.5 });
+  ]
+
+let test_fault_rejects_bad_rates () =
+  List.iter
+    (fun (name, bad) ->
+      match Fault.create ~seed:1 (bad Fault.default) with
+      | _ -> Alcotest.failf "%s: out-of-range rate accepted" name
+      | exception Invalid_argument _ -> ())
+    bad_rates;
+  (* The boundaries themselves are valid rates. *)
+  let edge r =
+    { Fault.none with Fault.corrupt_rate = r; drop_rate = r; crash_rate = r }
+  in
+  ignore (Fault.create ~seed:1 (edge 0.));
+  ignore (Fault.create ~seed:1 (edge 1.))
 
 let test_fault_rate0_identity () =
   let plan = Fault.create ~seed:7 Fault.none in
@@ -297,34 +329,41 @@ let test_compressed_corruption_no_raise () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short input must error"
 
-(* --- Signature client --- *)
+(* --- Signature client, over the delta protocol --- *)
+
+let tenant = "t0"
+
+(* A single-tenant authority already holding [set]. *)
+let authority_with set =
+  let auth = Authority.create () in
+  ignore (Authority.publish auth ~tenant set);
+  auth
 
 let test_client_happy_path () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  let client = Signature_client.create () in
-  let report = Signature_client.sync client ~fetch:(Signature_server.fetch server) in
+  let auth = authority_with signatures in
+  let client = Delta_client.create ~tenant () in
+  let transport = Authority.wire_transport auth in
+  let report = Delta_client.sync client ~transport in
   (match report.Signature_client.outcome with
   | Signature_client.Updated 1 -> ()
   | _ -> Alcotest.fail "expected Updated 1");
   Alcotest.(check int) "one attempt" 1 report.Signature_client.attempts;
   Alcotest.(check int) "no backoff" 0 report.Signature_client.waited;
-  Alcotest.(check int) "version" 1 (Signature_client.version client);
+  Alcotest.(check int) "version" 1 (Delta_client.version client);
   Alcotest.(check int) "signatures installed" 1
-    (List.length (Signature_client.signatures client));
-  let again = Signature_client.sync client ~fetch:(Signature_server.fetch server) in
+    (List.length (Delta_client.signatures client));
+  let again = Delta_client.sync client ~transport in
   match again.Signature_client.outcome with
   | Signature_client.Unchanged -> ()
   | _ -> Alcotest.fail "expected Unchanged"
 
 let test_client_retries_with_backoff () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
+  let auth = authority_with signatures in
   let calls = ref 0 in
-  let fetch ~since =
+  let transport raw =
     incr calls;
     if !calls <= 2 then Error "transient server error 503"
-    else Signature_server.fetch server ~since
+    else Authority.wire_transport auth raw
   in
   let config =
     { Signature_client.default_config with
@@ -333,8 +372,8 @@ let test_client_retries_with_backoff () =
       jitter = 0;
     }
   in
-  let client = Signature_client.create ~config () in
-  let report = Signature_client.sync client ~fetch in
+  let client = Delta_client.create ~config ~tenant () in
+  let report = Delta_client.sync client ~transport in
   (match report.Signature_client.outcome with
   | Signature_client.Updated 1 -> ()
   | _ -> Alcotest.fail "expected recovery");
@@ -342,9 +381,9 @@ let test_client_retries_with_backoff () =
   (* Failed attempts 1 and 2 wait 1 and 2 ticks (no jitter). *)
   Alcotest.(check int) "exponential backoff" 3 report.Signature_client.waited;
   Alcotest.(check string) "healthy after recovery" "healthy"
-    (Signature_client.health_to_string (Signature_client.health client));
+    (Signature_client.health_to_string (Delta_client.health client));
   Alcotest.(check int) "failed attempts tracked" 2
-    (Signature_client.staleness client).Signature_client.failed_attempts
+    (Delta_client.staleness client).Signature_client.failed_attempts
 
 let test_client_health_state_machine () =
   let config =
@@ -354,32 +393,31 @@ let test_client_health_state_machine () =
       stale_after = 2;
     }
   in
-  let client = Signature_client.create ~config () in
-  let broken ~since:_ = Error "no route to server" in
+  let client = Delta_client.create ~config ~tenant () in
+  let broken _raw = Error "no route to server" in
   (* Seed a last-known-good set first. *)
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
+  let auth = authority_with signatures in
+  let transport = Authority.wire_transport auth in
+  ignore (Delta_client.sync client ~transport);
   Alcotest.(check string) "healthy" "healthy"
-    (Signature_client.health_to_string (Signature_client.health client));
-  let r1 = Signature_client.sync client ~fetch:broken in
+    (Signature_client.health_to_string (Delta_client.health client));
+  let r1 = Delta_client.sync client ~transport:broken in
   (match r1.Signature_client.outcome with
   | Signature_client.Failed _ -> ()
   | _ -> Alcotest.fail "expected Failed");
   Alcotest.(check int) "budget respected" 2 r1.Signature_client.attempts;
   Alcotest.(check string) "degraded after one failed sync" "degraded"
-    (Signature_client.health_to_string (Signature_client.health client));
-  ignore (Signature_client.sync client ~fetch:broken);
+    (Signature_client.health_to_string (Delta_client.health client));
+  ignore (Delta_client.sync client ~transport:broken);
   Alcotest.(check string) "stale after two" "stale"
-    (Signature_client.health_to_string (Signature_client.health client));
+    (Signature_client.health_to_string (Delta_client.health client));
   Alcotest.(check int) "last-known-good kept" 1
-    (List.length (Signature_client.signatures client));
-  Alcotest.(check int) "still at v1" 1 (Signature_client.version client);
+    (List.length (Delta_client.signatures client));
+  Alcotest.(check int) "still at v1" 1 (Delta_client.version client);
   Alcotest.(check bool) "last error kept" true
-    (Signature_client.last_error client = Some "no route to server");
+    (Delta_client.last_error client = Some "no route to server");
   (* Recovery: the next good sync returns to Healthy and records the gap.
-     (The sets must actually differ — identical publishes no longer bump
-     the version.) *)
+     Each publish below adds one signature, so one version. *)
   let grown n =
     signatures
     @ List.init n (fun i ->
@@ -387,25 +425,26 @@ let test_client_health_state_machine () =
             ~cluster_size:1
             [ Printf.sprintf "imsi=24008%09d" i ])
   in
-  ignore (Signature_server.publish server (grown 1));
-  ignore (Signature_server.publish server (grown 2));
-  ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
+  ignore (Authority.publish auth ~tenant (grown 1));
+  ignore (Authority.publish auth ~tenant (grown 2));
+  ignore (Delta_client.sync client ~transport);
   Alcotest.(check string) "healthy again" "healthy"
-    (Signature_client.health_to_string (Signature_client.health client));
-  let st = Signature_client.staleness client in
+    (Signature_client.health_to_string (Delta_client.health client));
+  let st = Delta_client.staleness client in
   Alcotest.(check int) "failed syncs reset" 0 st.Signature_client.failed_syncs;
   Alcotest.(check int) "version gap recorded" 1 st.Signature_client.version_gap;
-  Alcotest.(check int) "caught up" 3 (Signature_client.version client)
+  Alcotest.(check int) "caught up" 3 (Delta_client.version client)
 
 let test_fetch_content_length_check () =
   let transport _raw =
     Ok "HTTP/1.1 200 OK\r\nX-Signature-Version: 1\r\nContent-Length: 999\r\n\r\nabc"
   in
-  match Signature_server.fetch_via ~transport ~since:0 with
-  | Error e ->
+  let client = Delta_client.create ~tenant () in
+  match (Delta_client.sync client ~transport).Signature_client.outcome with
+  | Signature_client.Failed e ->
     Alcotest.(check bool) "mentions mismatch" true
       (Leakdetect_text.Search.contains ~needle:"content-length mismatch" e)
-  | Ok _ -> Alcotest.fail "expected content-length error"
+  | _ -> Alcotest.fail "expected content-length error"
 
 (* --- backoff jitter bounds, both modes --- *)
 
@@ -508,8 +547,8 @@ let test_flow_fail_open_when_stale () =
 
 let test_chaos_sync_converges () =
   (* 10% corruption + 20% transient errors on the wire; the client must
-     still converge to the server's latest version. *)
-  let server = Signature_server.create () in
+     still converge to the authority's latest version. *)
+  let auth = Authority.create () in
   let plan =
     Fault.create ~seed:42
       { Fault.none with Fault.corrupt_rate = 0.1; corrupt_bytes = 3; server_error_rate = 0.2 }
@@ -518,12 +557,12 @@ let test_chaos_sync_converges () =
     match Fault.server_fate plan with
     | Fault.Fail status -> Error (Printf.sprintf "transient server error %d" status)
     | Fault.Respond | Fault.Respond_delayed _ -> (
-      match Signature_server.wire_transport server (Fault.corrupt_string plan raw) with
+      match Authority.wire_transport auth (Fault.corrupt_string plan raw) with
       | Ok response -> Ok (Fault.corrupt_string plan response)
       | Error _ as e -> e)
   in
-  let fetch = Signature_server.fetch_via ~transport in
-  let client = Signature_client.create ~seed:1 () in
+  let client = Delta_client.create ~seed:1 ~tenant () in
+  let head () = Authority.version auth ~tenant in
   for round = 1 to 5 do
     let set =
       signatures
@@ -532,20 +571,16 @@ let test_chaos_sync_converges () =
               ~cluster_size:1
               [ Printf.sprintf "imsi=24008%09d" i ])
     in
-    ignore (Signature_server.publish server set);
-    ignore (Signature_client.sync client ~fetch)
+    ignore (Authority.publish auth ~tenant set);
+    ignore (Delta_client.sync client ~transport)
   done;
   let extra = ref 0 in
-  while
-    Signature_client.version client < Signature_server.current_version server
-    && !extra < 50
-  do
+  while Delta_client.version client < head () && !extra < 50 do
     incr extra;
-    ignore (Signature_client.sync client ~fetch)
+    ignore (Delta_client.sync client ~transport)
   done;
-  Alcotest.(check int) "converged to latest version"
-    (Signature_server.current_version server)
-    (Signature_client.version client);
+  Alcotest.(check int) "converged to latest version" (head ())
+    (Delta_client.version client);
   Alcotest.(check bool) "faults actually fired" true (Fault.total plan > 0)
 
 let test_chaos_ingest_recovers () =
@@ -582,6 +617,8 @@ let suite =
         Alcotest.test_case "server fate" `Quick test_fault_server_fate;
         Alcotest.test_case "crash points" `Quick test_fault_crash_point;
         Alcotest.test_case "torn writes" `Quick test_fault_torn_write;
+        Alcotest.test_case "create rejects bad rates" `Quick
+          test_fault_rejects_bad_rates;
       ] );
     ( "fault.parsers",
       [

@@ -1,9 +1,15 @@
-(* Tests for Leakdetect_monitor: policy store and the Figure 3(b)
-   information-flow-control application. *)
+(* Tests for Leakdetect_monitor: policy store, the Figure 3(b)
+   information-flow-control application, and the Figure 3 signature
+   server (a single-tenant authority) feeding it through the delta
+   client. *)
 
 open Leakdetect_monitor
 module Signature = Leakdetect_core.Signature
 module Packet = Leakdetect_http.Packet
+module Http = Leakdetect_http
+module Obs = Leakdetect_obs.Obs
+module Authority = Leakdetect_distrib.Authority
+module Delta_client = Leakdetect_distrib.Delta_client
 
 let mk ?(rline = "GET /benign HTTP/1.1") () =
   Packet.v
@@ -247,42 +253,64 @@ let test_report_limit () =
   done;
   Alcotest.(check int) "limit respected" 4 (List.length (Report.most_suspicious ~limit:4 m))
 
-(* --- Signature_server --- *)
+(* --- Signature server: a single-tenant authority --- *)
+
+let tenant = "device"
+
+let sync client auth =
+  (Delta_client.sync client ~transport:(Authority.wire_transport auth))
+    .Signature_client.outcome
 
 let test_server_fetch_cycle () =
-  let server = Signature_server.create () in
-  Alcotest.(check int) "initial version" 0 (Signature_server.current_version server);
+  let auth = Authority.create () in
+  let client = Delta_client.create ~tenant () in
+  Alcotest.(check int) "initial version" 0 (Authority.version auth ~tenant);
   (* Device checks before anything is published: up to date. *)
-  (match Signature_server.fetch server ~since:0 with
-  | Ok (Signature_client.Up_to_date _) -> ()
+  (match sync client auth with
+  | Signature_client.Unchanged -> ()
   | _ -> Alcotest.fail "expected up-to-date");
-  let v1 = Signature_server.publish server signatures in
+  let v1 = Authority.publish auth ~tenant signatures in
   Alcotest.(check int) "published v1" 1 v1;
-  (match Signature_server.fetch server ~since:0 with
-  | Ok (Signature_client.Set { version = v; signatures = sigs }) ->
+  (match sync client auth with
+  | Signature_client.Updated v ->
+    let sigs = Delta_client.signatures client in
     Alcotest.(check int) "fetched version" 1 v;
     Alcotest.(check int) "signature count" (List.length signatures) (List.length sigs);
     Alcotest.(check (list string)) "tokens preserved"
       (List.concat_map (fun s -> s.Signature.tokens) signatures)
       (List.concat_map (fun s -> s.Signature.tokens) sigs)
-  | Ok (Signature_client.Up_to_date _) -> Alcotest.fail "expected update"
-  | Error e -> Alcotest.failf "fetch: %s" e);
-  (match Signature_server.fetch server ~since:1 with
-  | Ok (Signature_client.Up_to_date { observed }) ->
-    Alcotest.(check (option int)) "304 carries the version" (Some 1) observed
-  | _ -> Alcotest.fail "expected 304 path")
+  | Signature_client.Unchanged -> Alcotest.fail "expected update"
+  | Signature_client.Failed e -> Alcotest.failf "fetch: %s" e);
+  (match sync client auth with
+  | Signature_client.Unchanged -> ()
+  | _ -> Alcotest.fail "expected 304 path");
+  let up_to_date =
+    Authority.handle auth
+      (Http.Request.make Http.Request.GET
+         (Printf.sprintf "/signatures?tenant=%s&since=1" tenant))
+  in
+  Alcotest.(check int) "304 status" 304 up_to_date.Http.Response.status;
+  Alcotest.(check (option string)) "304 carries the version" (Some "1")
+    (Http.Headers.get up_to_date.Http.Response.headers "X-Signature-Version")
 
-(* Satellite regressions: identical publishes must not bump the version,
-   and the 304 version header must let a lagging client measure its gap. *)
+let publish_noops obs =
+  Obs.Counter.value (Obs.counter obs "leakdetect_authority_publish_noops_total")
+
+(* Identical publishes must not bump the version (and are counted), and
+   the 304 version header must let a lagging client measure its gap. *)
 let test_publish_identical_is_noop () =
-  let server = Signature_server.create () in
-  let v1 = Signature_server.publish server signatures in
+  let obs = Obs.create () in
+  let auth = Authority.create ~obs () in
+  let v1 = Authority.publish auth ~tenant signatures in
   Alcotest.(check int) "first publish" 1 v1;
-  let v_same = Signature_server.publish server signatures in
+  let v_same = Authority.publish auth ~tenant signatures in
   Alcotest.(check int) "identical publish keeps version" 1 v_same;
+  Alcotest.(check int) "no-op counted" 1 (publish_noops obs);
   (* A client already at v1 must not be told to re-download. *)
-  (match Signature_server.fetch server ~since:1 with
-  | Ok (Signature_client.Up_to_date _) -> ()
+  let client = Delta_client.create ~tenant () in
+  ignore (sync client auth);
+  (match sync client auth with
+  | Signature_client.Unchanged -> ()
   | _ -> Alcotest.fail "expected 304 after no-op publish");
   let changed =
     signatures
@@ -290,64 +318,50 @@ let test_publish_identical_is_noop () =
           [ "imsi=240080000000017" ] ]
   in
   Alcotest.(check int) "real change still bumps" 2
-    (Signature_server.publish server changed);
-  (* Empty is a real state too: first publish of [] moves 0 -> 1. *)
-  let empty_server = Signature_server.create () in
-  Alcotest.(check int) "first empty publish bumps" 1
-    (Signature_server.publish empty_server []);
-  Alcotest.(check int) "repeated empty publish is a no-op" 1
-    (Signature_server.publish empty_server [])
+    (Authority.publish auth ~tenant changed);
+  (* A changelog has no "published empty" state distinct from "never
+     published": an empty set on a fresh tenant commits nothing. *)
+  Alcotest.(check int) "first empty publish keeps v0" 0
+    (Authority.publish auth ~tenant:"fresh" []);
+  Alcotest.(check int) "repeated empty publish is a no-op" 0
+    (Authority.publish auth ~tenant:"fresh" []);
+  Alcotest.(check int) "every no-op counted" 3 (publish_noops obs)
 
 let test_client_records_gap_from_304 () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  let client = Signature_client.create () in
-  ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
-  Alcotest.(check int) "client at v1" 1 (Signature_client.version client);
+  let auth = Authority.create () in
+  ignore (Authority.publish auth ~tenant signatures);
+  let client = Delta_client.create ~tenant () in
+  ignore (sync client auth);
+  Alcotest.(check int) "client at v1" 1 (Delta_client.version client);
   (* A 304 whose header shows a version ahead of ours records the gap
      without a body fetch.  (A real server would 200 here; the point is
      the client believes the header, not the body.) *)
-  let fetch ~since:_ =
-    Ok (Signature_client.Up_to_date { observed = Some 4 })
+  let transport _raw =
+    Ok
+      (Http.Response.print
+         (Http.Response.make
+            ~headers:(Http.Headers.of_list [ ("X-Signature-Version", "4") ])
+            304))
   in
-  (match (Signature_client.sync client ~fetch).Signature_client.outcome with
+  (match (Delta_client.sync client ~transport).Signature_client.outcome with
   | Signature_client.Unchanged -> ()
   | _ -> Alcotest.fail "expected Unchanged");
   Alcotest.(check int) "gap recorded from 304 header" 3
-    (Signature_client.staleness client).Signature_client.version_gap;
+    (Delta_client.staleness client).Signature_client.version_gap;
   Alcotest.(check int) "set untouched" 1
-    (List.length (Signature_client.signatures client))
-
-let test_server_http_statuses () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  let get target =
-    (Signature_server.handle server
-       (Leakdetect_http.Request.make Leakdetect_http.Request.GET target))
-      .Leakdetect_http.Response.status
-  in
-  Alcotest.(check int) "fresh fetch" 200 (get "/signatures?since=0");
-  Alcotest.(check int) "up to date" 304 (get "/signatures?since=1");
-  Alcotest.(check int) "bad since" 400 (get "/signatures?since=abc");
-  Alcotest.(check int) "unknown path" 404 (get "/other");
-  let post =
-    Signature_server.handle server
-      (Leakdetect_http.Request.make Leakdetect_http.Request.POST "/signatures")
-  in
-  Alcotest.(check int) "wrong method" 405 post.Leakdetect_http.Response.status;
-  Alcotest.(check (option string)) "allow header" (Some "GET")
-    (Leakdetect_http.Headers.get post.Leakdetect_http.Response.headers "Allow")
+    (List.length (Delta_client.signatures client))
 
 let test_server_drives_monitor () =
   (* Full loop: publish, device fetches, monitor starts catching leaks. *)
-  let server = Signature_server.create () in
+  let auth = Authority.create () in
+  let client = Delta_client.create ~tenant () in
   let monitor = Flow_control.create [] in
   Alcotest.(check string) "before fetch, leak passes" "allowed"
     (Flow_control.decision_to_string (Flow_control.process monitor ~app_id:1 (leak_packet ())));
-  ignore (Signature_server.publish server signatures);
-  (match Signature_server.fetch server ~since:0 with
-  | Ok (Signature_client.Set { signatures = sigs; _ }) ->
-    Flow_control.update_signatures monitor sigs
+  ignore (Authority.publish auth ~tenant signatures);
+  (match sync client auth with
+  | Signature_client.Updated _ ->
+    Flow_control.update_signatures monitor (Delta_client.signatures client)
   | _ -> Alcotest.fail "fetch failed");
   Alcotest.(check string) "after fetch, leak prompts" "prompted:stopped"
     (Flow_control.decision_to_string (Flow_control.process monitor ~app_id:1 (leak_packet ())))
@@ -378,7 +392,6 @@ let suite =
         Alcotest.test_case "identical publish is a no-op" `Quick
           test_publish_identical_is_noop;
         Alcotest.test_case "304 version gap" `Quick test_client_records_gap_from_304;
-        Alcotest.test_case "http statuses" `Quick test_server_http_statuses;
         Alcotest.test_case "drives the monitor" `Quick test_server_drives_monitor;
       ] );
     ( "monitor.flow_control",
