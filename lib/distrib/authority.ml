@@ -2,24 +2,12 @@ module Http = Leakdetect_http
 module Signature = Leakdetect_core.Signature
 module Signature_io = Leakdetect_core.Signature_io
 module Leak_error = Leakdetect_util.Leak_error
-module Crc32 = Leakdetect_util.Crc32
 module Wal = Leakdetect_store.Wal
 module Snapshot = Leakdetect_store.Snapshot
 module Obs = Leakdetect_obs.Obs
 
-let id_ok s =
-  let n = String.length s in
-  n > 0 && n <= 64
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z')
-         || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9')
-         || c = '.' || c = '_' || c = ':' || c = '-')
-       s
-
 let check_id what s =
-  if not (id_ok s) then
+  if not (Protocol.id_ok s) then
     invalid_arg (Printf.sprintf "Authority: bad %s id %S" what s)
 
 type config = { k : int; reporter_cap : int; compact_keep : int }
@@ -91,16 +79,16 @@ let jentry_of_payload payload =
   match split1 payload with
   | Some ("change", rest) -> (
     match split1 rest with
-    | Some (tenant, line) when id_ok tenant -> (
+    | Some (tenant, line) when Protocol.id_ok tenant -> (
       match Changelog.entry_of_line line with
       | Ok entry -> Ok (Change { tenant; entry })
       | Error e -> Error e)
     | _ -> Error "change entry: bad tenant")
   | Some ("report", rest) -> (
     match split1 rest with
-    | Some (tenant, rest) when id_ok tenant -> (
+    | Some (tenant, rest) when Protocol.id_ok tenant -> (
       match split1 rest with
-      | Some (reporter, line) when id_ok reporter -> (
+      | Some (reporter, line) when Protocol.id_ok reporter -> (
         match Signature_io.of_line line with
         | Ok signature -> Ok (Report { tenant; reporter; signature })
         | Error e -> Error ("report entry: " ^ Leak_error.to_string e))
@@ -108,18 +96,19 @@ let jentry_of_payload payload =
     | _ -> Error "report entry: bad tenant")
   | Some ("adopt", rest) -> (
     match split1 rest with
-    | Some (tenant, payload) when id_ok tenant -> Ok (Adopt { tenant; payload })
+    | Some (tenant, payload) when Protocol.id_ok tenant ->
+      Ok (Adopt { tenant; payload })
     | _ -> Error "adopt entry: bad tenant")
   | Some ("release", rest) -> (
     match split1 rest with
-    | Some (tenant, at) when id_ok tenant -> (
+    | Some (tenant, at) when Protocol.id_ok tenant -> (
       match int_of_string_opt at with
       | Some at when at >= 0 -> Ok (Release { tenant; at })
       | _ -> Error "release entry: bad version")
     | _ -> Error "release entry: bad tenant")
   | Some ("shard", rest) -> (
     match split1 rest with
-    | Some (self, line) when id_ok self -> Ok (Shard { self; line })
+    | Some (self, line) when Protocol.id_ok self -> Ok (Shard { self; line })
     | _ -> Error "shard entry: bad self id")
   | Some (tag, _) -> Error (Printf.sprintf "unknown journal tag %S" tag)
   | None -> Error "empty journal entry"
@@ -155,6 +144,7 @@ let tenant_names t =
 
 let tenants = tenant_names
 
+(* Writes create a tenant on first use. *)
 let lookup t tenant =
   match Hashtbl.find_opt t.tenants tenant with
   | Some ts -> ts
@@ -163,35 +153,19 @@ let lookup t tenant =
     Hashtbl.replace t.tenants tenant ts;
     ts
 
-let version t ~tenant =
+(* Reads never do: an unknown tenant reads as an empty changelog that is
+   dropped after use. *)
+let read_log t tenant =
   match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Changelog.version ts.log
-  | None -> 0
+  | Some ts -> ts.log
+  | None -> Changelog.create ()
 
-let signatures t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Changelog.current ts.log
-  | None -> []
-
-let checksum t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Changelog.current_checksum ts.log
-  | None -> Changelog.checksum_set []
-
+let version t ~tenant = Changelog.version (read_log t tenant)
+let signatures t ~tenant = Changelog.current (read_log t tenant)
+let checksum t ~tenant = Changelog.current_checksum (read_log t tenant)
 let checksum_at t ~tenant ~version =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Changelog.checksum_at ts.log version
-  | None -> if version = 0 then Some (Changelog.checksum_set []) else None
-
-let horizon t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Changelog.horizon ts.log
-  | None -> 0
-
-let changelog_entries t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Changelog.entries ts.log
-  | None -> []
+  Changelog.checksum_at (read_log t tenant) version
+let horizon t ~tenant = Changelog.horizon (read_log t tenant)
 
 let wal_size t = match t.writer with Some w -> Wal.size w | None -> 0
 let promotions t = List.rev t.rev_promotions
@@ -360,31 +334,22 @@ let take n lines =
   in
   loop n [] lines
 
-let parse_sig_lines lines =
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Signature_io.of_line line with
-      | Ok s -> loop (s :: acc) rest
-      | Error e -> Error ("snapshot signature: " ^ Leak_error.to_string e))
-  in
-  loop [] lines
-
-let parse_entry_lines lines =
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Changelog.entry_of_line line with
-      | Ok e -> loop (e :: acc) rest
-      | Error e -> Error e)
-  in
-  loop [] lines
+let cand_of_line line =
+  match split1 line with
+  | Some ("cand", rest) -> (
+    match split1 rest with
+    | Some (reporters, sig_line) ->
+      Result.map
+        (fun exemplar -> (String.split_on_char ',' reporters, exemplar))
+        (Protocol.signature_of_line sig_line)
+    | None -> Error "snapshot: bad candidate line")
+  | _ -> Error "snapshot: bad candidate line"
 
 let parse_tenant_section header rest =
   let ( let* ) = Result.bind in
   match String.split_on_char '\t' header with
   | [ "tenant"; name; base_version; next_id; nbase; nentries; ncands ]
-    when id_ok name -> (
+    when Protocol.id_ok name -> (
     match
       ( int_of_string_opt base_version,
         int_of_string_opt next_id,
@@ -398,11 +363,15 @@ let parse_tenant_section header rest =
       match take nbase rest with
       | None -> Error "snapshot: base set overruns payload"
       | Some (base_lines, rest) -> (
-        let* base = parse_sig_lines base_lines in
+        let* base =
+          Protocol.parse_lines Protocol.signature_of_line base_lines
+        in
         match take nentries rest with
         | None -> Error "snapshot: entries overrun payload"
         | Some (entry_lines, rest) -> (
-          let* entries = parse_entry_lines entry_lines in
+          let* entries =
+            Protocol.parse_lines Protocol.entry_of_line entry_lines
+          in
           match take ncands rest with
           | None -> Error "snapshot: candidates overrun payload"
           | Some (cand_lines, rest) ->
@@ -415,25 +384,13 @@ let parse_tenant_section header rest =
                 pending = Hashtbl.create 16;
               }
             in
-            let rec cands = function
-              | [] -> Ok ()
-              | line :: more -> (
-                match split1 line with
-                | Some ("cand", rest) -> (
-                  match split1 rest with
-                  | Some (reporters, sig_line) -> (
-                    match Signature_io.of_line sig_line with
-                    | Error e ->
-                      Error ("snapshot candidate: " ^ Leak_error.to_string e)
-                    | Ok exemplar ->
-                      List.iter
-                        (fun r -> apply_report ts ~reporter:r exemplar)
-                        (String.split_on_char ',' reporters);
-                      cands more)
-                  | None -> Error "snapshot: bad candidate line")
-                | _ -> Error "snapshot: bad candidate line")
-            in
-            let* () = cands cand_lines in
+            let* cands = Protocol.parse_lines cand_of_line cand_lines in
+            List.iter
+              (fun (reporters, exemplar) ->
+                List.iter
+                  (fun r -> apply_report ts ~reporter:r exemplar)
+                  reporters)
+              cands;
             Ok (ts, rest))))
     | _ -> Error "snapshot: bad tenant header")
   | _ -> Error "snapshot: bad tenant header"
@@ -837,24 +794,12 @@ let release_tenant t ~tenant =
 
 (* --- HTTP --- *)
 
-let signatures_endpoint = "/signatures"
-let candidates_endpoint = "/candidates"
-let metrics_endpoint = "/metrics"
-let digest_endpoint = "/digest"
-
 let respond t (response : Http.Response.t) =
   count t
     ~labels:[ ("code", string_of_int response.Http.Response.status) ]
     "leakdetect_authority_requests_total"
     "HTTP requests served, by status code.";
   response
-
-let version_headers ts =
-  let version = Changelog.version ts.log in
-  [ ("X-Signature-Version", string_of_int version);
-    ( "X-Signature-Checksum",
-      Crc32.to_hex (Changelog.wire_checksum ~version (Changelog.current ts.log))
-    ) ]
 
 let count_sync_response t mode =
   count t
@@ -891,181 +836,57 @@ let shard_gate t ~tenant =
            503)
     else Ok ()
 
-let handle_signatures t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else
-    match List.assoc_opt "tenant" params with
-    | Some tenant when id_ok tenant -> (
-      let since =
-        match List.assoc_opt "since" params with
-        | Some v -> int_of_string_opt v
-        | None -> Some 0
-      in
-      let full = List.assoc_opt "full" params = Some "1" in
-      match since with
-      | None -> Http.Response.make 400
-      | Some since when since < 0 -> Http.Response.make 400
-      | Some since -> (
-        match shard_gate t ~tenant with
-        | Error misdirected -> misdirected
-        | Ok () ->
-        let ts = lookup t tenant in
-        let head = Changelog.version ts.log in
-        if since >= head && not full then begin
-          count_sync_response t "not_modified";
-          Http.Response.make
-            ~headers:(Http.Headers.of_list (version_headers ts))
-            304
-        end
-        else
-          let snapshot () =
-            count_sync_response t "snapshot";
-            let body =
-              String.concat "\n"
-                (List.map Signature_io.to_line (Changelog.current ts.log))
-            in
-            Http.Response.make
-              ~headers:
-                (Http.Headers.of_list
-                   (version_headers ts
-                   @ [ ("X-Signature-Mode", "snapshot");
-                       ("Content-Type", "text/tab-separated-values") ]))
-              ~body 200
-          in
-          if full then snapshot ()
-          else
-            match Changelog.since ts.log since with
-            | None -> snapshot ()
-            | Some entries ->
-              count_sync_response t "delta";
-              let body =
-                String.concat "\n"
-                  (List.map Changelog.entry_to_line entries)
-              in
-              Http.Response.make
-                ~headers:
-                  (Http.Headers.of_list
-                     (version_headers ts
-                     @ [ ("X-Signature-Mode", "delta");
-                         ("X-Signature-Since", string_of_int since);
-                         ("Content-Type", "text/tab-separated-values") ]))
-                ~body 200))
-    | _ -> Http.Response.make 400
-
-(* Ranged anti-entropy digest: checkpoints of the canonical-set CRC at
-   interval steps plus the head, so a diverged mirror can localize the
-   fork to an interval and splice only the suffix past the newest
-   agreeing checkpoint (see {!Changelog.digest}). *)
-let handle_digest t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else
-    match List.assoc_opt "tenant" params with
-    | Some tenant when id_ok tenant -> (
-      let since =
-        match List.assoc_opt "since" params with
-        | Some v -> int_of_string_opt v
-        | None -> Some 0
-      in
-      let interval =
-        match List.assoc_opt "interval" params with
-        | Some v -> int_of_string_opt v
-        | None -> Some 8
-      in
-      match (since, interval) with
-      | Some since, Some interval when since >= 0 && interval >= 1 -> (
-        match shard_gate t ~tenant with
-        | Error misdirected -> misdirected
-        | Ok () ->
-          let ts = lookup t tenant in
-          count_sync_response t "digest";
-          let body =
-            Changelog.digest_to_body
-              (Changelog.digest ts.log ~since ~interval)
-          in
-          Http.Response.make
-            ~headers:
-              (Http.Headers.of_list
-                 (version_headers ts
-                 @ [ ("X-Signature-Mode", "digest");
-                     ("Content-Type", "text/tab-separated-values") ]))
-            ~body 200)
-      | _ -> Http.Response.make 400)
-    | _ -> Http.Response.make 400
-
-let handle_candidates t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.POST then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "POST") ]) 405
-  else
-    match (List.assoc_opt "tenant" params, List.assoc_opt "reporter" params) with
-    | Some tenant, Some reporter when id_ok tenant && id_ok reporter -> (
-      match shard_gate t ~tenant with
-      | Error misdirected -> misdirected
-      | Ok () ->
-      let body = request.Http.Request.body in
-      let lines = if body = "" then [] else String.split_on_char '\n' body in
-      let rec parse acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest -> (
-          match Signature_io.of_line line with
-          | Ok s -> parse (s :: acc) rest
-          | Error e -> Error (Leak_error.to_string e))
-      in
-      match parse [] lines with
-      | Error _ -> Http.Response.make 400
-      | Ok [] -> Http.Response.make 400
+let handle_candidates t request =
+  match Protocol.candidate_ids request with
+  | Error bad -> bad
+  | Ok (tenant, reporter) -> (
+    match shard_gate t ~tenant with
+    | Error misdirected -> misdirected
+    | Ok () -> (
+      match
+        Protocol.parse_body Protocol.signature_of_line
+          request.Http.Request.body
+      with
+      | Error _ | Ok [] -> Http.Response.make 400
       | Ok candidates ->
-        let accepted = ref 0
-        and duplicate = ref 0
-        and promoted = ref 0
-        and capped = ref 0 in
-        List.iter
-          (fun s ->
-            match report_candidate t ~tenant ~reporter s with
-            | Accepted _ -> incr accepted
-            | Duplicate -> incr duplicate
-            | Promoted _ -> incr promoted
-            | Capped -> incr capped)
-          candidates;
-        let body =
-          Printf.sprintf
-            "accepted\t%d\nduplicate\t%d\npromoted\t%d\ncapped\t%d" !accepted
-            !duplicate !promoted !capped
+        let tally =
+          List.fold_left
+            (fun (tally : Protocol.tally) s ->
+              match report_candidate t ~tenant ~reporter s with
+              | Accepted _ -> { tally with accepted = tally.accepted + 1 }
+              | Duplicate -> { tally with duplicate = tally.duplicate + 1 }
+              | Promoted _ -> { tally with promoted = tally.promoted + 1 }
+              | Capped -> { tally with capped = tally.capped + 1 })
+            { Protocol.accepted = 0; duplicate = 0; promoted = 0; capped = 0 }
+            candidates
         in
-        Http.Response.make
-          ~headers:
-            (Http.Headers.of_list
-               (( "X-Signature-Version",
-                  string_of_int (version t ~tenant) )
-               :: [ ("Content-Type", "text/tab-separated-values") ]))
-          ~body 200)
-    | _ -> Http.Response.make 400
+        Protocol.tally_response ~version:(version t ~tenant) tally))
 
-let handle t (request : Http.Request.t) =
-  let path, query =
-    Leakdetect_net.Url.split_path_query request.Http.Request.target
-  in
-  let params =
-    Option.value ~default:[] (Leakdetect_net.Url.decode_query query)
-  in
+let handle t request =
   respond t
   @@
-  if path = metrics_endpoint then
-    if request.Http.Request.meth <> Http.Request.GET then
-      Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-    else
-      Http.Response.make
-        ~headers:
-          (Http.Headers.of_list
-             [ ("Content-Type", "text/plain; version=0.0.4; charset=utf-8") ])
-        ~body:(Obs.to_prometheus t.obs) 200
-  else if path = signatures_endpoint then handle_signatures t request params
-  else if path = candidates_endpoint then handle_candidates t request params
-  else if path = digest_endpoint then handle_digest t request params
-  else Http.Response.make 404
+  match Protocol.route request with
+  | Error answer -> answer
+  | Ok Protocol.Metrics -> Protocol.serve_metrics t.obs
+  | Ok Protocol.Candidates -> handle_candidates t request
+  | Ok (Protocol.Signatures { tenant; since; full }) -> (
+    match shard_gate t ~tenant with
+    | Error misdirected -> misdirected
+    | Ok () ->
+      let mode, response =
+        Protocol.serve_signatures (read_log t tenant) ~since ~full
+      in
+      count_sync_response t
+        (match mode with
+        | Protocol.Not_modified -> "not_modified"
+        | Protocol.Delta -> "delta"
+        | Protocol.Snapshot -> "snapshot");
+      response)
+  | Ok (Protocol.Digest { tenant; since; interval }) -> (
+    match shard_gate t ~tenant with
+    | Error misdirected -> misdirected
+    | Ok () ->
+      count_sync_response t "digest";
+      Protocol.serve_digest (read_log t tenant) ~since ~interval)
 
-let wire_transport t raw =
-  match Http.Wire.parse raw with
-  | Error e -> Error ("request corrupt: " ^ Http.Wire.error_to_string e)
-  | Ok request -> Ok (Http.Response.print (handle t request))
+let wire_transport t raw = Protocol.wire_transport (handle t) raw

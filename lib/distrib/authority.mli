@@ -1,19 +1,19 @@
 (** The signature authority: the generation server of Fig. 3, which
     publishes signature sets for devices to fetch, grown to serve many
-    tenants.  It is the repository's only distribution protocol (devices
-    speak it through {!Delta_client}) and its only journaled state
-    machine; a single-tenant instance drives [leakdetect chaos] and
-    [leakdetect trace], and [leakdetect store] inspects its directory.
+    tenants.  It serves the delta-sync protocol defined in {!Protocol}
+    (devices speak it through {!Delta_client}) and is the repository's
+    only journaled state machine; a single-tenant instance drives
+    [leakdetect chaos] and [leakdetect trace], and [leakdetect store]
+    inspects its directory.
 
     Per tenant it keeps a {!Changelog} — a monotonically versioned log of
     [Add]/[Retire] entries — and a crowdsourced candidate table.  Three
     design rules, in PrivacyProxy's robustness shape:
 
-    - {b Delta sync.}  [GET /signatures?tenant=T&since=V] answers with
-      just the changelog suffix newer than [V] (plus version and
-      canonical-set checksum headers), falling back to a full snapshot
-      when [V] is below the compaction horizon or [full=1] is asked for.
-      Up-to-date clients get [304] with the version still in the header.
+    - {b Delta sync.}  [GET /signatures] answers from the tenant's
+      changelog with {!Protocol.serve_signatures}: the suffix newer than
+      the client's version, a full snapshot below the compaction horizon
+      or on [full=1], [304] when up to date.
     - {b k-anonymous promotion.}  [POST /candidates?tenant=T&reporter=R]
       records locally observed candidate signatures; a candidate joins
       the published set only once [>= k] {e distinct} reporter ids have
@@ -27,13 +27,9 @@
       version-gated replay makes the crash window between the two
       harmless.
 
-    Tenant and reporter ids are restricted to [A-Za-z0-9._:-] (max 64
-    chars) so they embed safely in journal lines and query strings. *)
+    Tenant and reporter ids must pass {!Protocol.id_ok}. *)
 
 module Signature = Leakdetect_core.Signature
-
-val id_ok : string -> bool
-(** Valid tenant/reporter id. *)
 
 type config = {
   k : int;  (** Distinct reporters required to promote a candidate. *)
@@ -105,7 +101,6 @@ val signatures : t -> tenant:string -> Signature.t list
 val checksum : t -> tenant:string -> int
 val checksum_at : t -> tenant:string -> version:int -> int option
 val horizon : t -> tenant:string -> int
-val changelog_entries : t -> tenant:string -> Changelog.entry list
 val wal_size : t -> int  (** 0 for an in-memory authority. *)
 
 type promotion = {
@@ -205,43 +200,17 @@ val release_tenant : t -> tenant:string -> (int, string) result
 
 (** {1 HTTP} *)
 
-val signatures_endpoint : string
-(** ["/signatures"] *)
-
-val candidates_endpoint : string
-(** ["/candidates"] *)
-
-val metrics_endpoint : string
-(** ["/metrics"] *)
-
-val digest_endpoint : string
-(** ["/digest"] *)
-
 val handle : t -> Leakdetect_http.Request.t -> Leakdetect_http.Response.t
-(** [GET /signatures?tenant=T&since=V[&full=1]]:
-    - [200] with [X-Signature-Mode: delta], the entry suffix as body and
-      [X-Signature-Since] echoing [V], when the suffix is servable;
-    - [200] with [X-Signature-Mode: snapshot] and the full set as body
-      when [V] predates the horizon (or [full=1]);
-    - [304] when up to date — [X-Signature-Version] and
-      [X-Signature-Checksum] are carried on every one of these;
-    - [421] / [503] under a shard map, as described above;
-    - [400] on a missing/bad tenant or [since], [404]/[405] as usual.
-
-    [POST /candidates?tenant=T&reporter=R] with signature lines as body:
-    [200] with a tally body ([accepted/duplicate/promoted/capped] TAB
-    counts), [400] on bad ids or a malformed line.
-
-    [GET /digest?tenant=T[&since=V][&interval=K]]: the ranged
-    anti-entropy digest — [version TAB crc-hex] checkpoint lines (see
-    {!Changelog.digest}; [since] defaults to 0, [interval] to 8), with
-    the usual version headers.  A diverged mirror compares the
-    checkpoints against its own history, takes the newest agreeing
-    version as the splice point, and repairs just that suffix.  Gated by
-    the shard map like the other tenant endpoints; [400] on a bad
-    [since] or [interval].
-
-    [GET /metrics]: Prometheus exposition of the registry. *)
+(** The {!Protocol} endpoints.  The authority's own parts:
+    - the shard gate above ([421] / [503]) on every tenant endpoint;
+    - an unknown tenant is served as an empty one (version 0, empty set)
+      without being created: reads never add a tenant;
+    - [POST /candidates] feeds {!report_candidate} line by line and
+      answers the {!Protocol.tally}; [400] on bad ids, a malformed line
+      or an empty body;
+    - [leakdetect_authority_requests_total] counts every answer by
+      status, [leakdetect_authority_sync_responses_total] every
+      [/signatures] and [/digest] answer by mode. *)
 
 val wire_transport : t -> string -> (string, string) result
 (** Parse printed request bytes, {!handle}, print the response — the

@@ -1,7 +1,5 @@
 module Http = Leakdetect_http
 module Signature = Leakdetect_core.Signature
-module Signature_io = Leakdetect_core.Signature_io
-module Leak_error = Leakdetect_util.Leak_error
 module Signature_client = Leakdetect_monitor.Signature_client
 
 type counters = {
@@ -13,17 +11,18 @@ type counters = {
   escalations : int;
 }
 
+let zero =
+  {
+    delta_updates = 0; snapshot_updates = 0; forced_full = 0;
+    regressions_refused = 0; fork_smells = 0; escalations = 0;
+  }
+
 type update = [ `Delta of Changelog.entry list | `Snapshot ]
 
 type t = {
   tenant : string;
   inner : Signature_client.t;
-  mutable delta_updates : int;
-  mutable snapshot_updates : int;
-  mutable forced_full : int;
-  mutable regressions_refused : int;
-  mutable fork_smells : int;
-  mutable escalations : int;
+  mutable counters : counters;
   (* Which transfer produced the Set the inner client is about to
      install; read back after sync to attribute the update (and, by a
      relay, to mirror the applied entry suffix). *)
@@ -37,18 +36,15 @@ type t = {
   mutable preferred : int;
 }
 
+let count t f = t.counters <- f t.counters
+
 let create ?config ?obs ?seed ~tenant () =
-  if not (Authority.id_ok tenant) then
+  if not (Protocol.id_ok tenant) then
     invalid_arg (Printf.sprintf "Delta_client: bad tenant id %S" tenant);
   {
     tenant;
     inner = Signature_client.create ?config ?obs ?seed ();
-    delta_updates = 0;
-    snapshot_updates = 0;
-    forced_full = 0;
-    regressions_refused = 0;
-    fork_smells = 0;
-    escalations = 0;
+    counters = zero;
     last_update = None;
     verify_failed = false;
     preferred = 0;
@@ -63,80 +59,15 @@ let staleness t = Signature_client.staleness t.inner
 let last_error t = Signature_client.last_error t.inner
 let last_update t = t.last_update
 
-let counters t =
-  {
-    delta_updates = t.delta_updates;
-    snapshot_updates = t.snapshot_updates;
-    forced_full = t.forced_full;
-    regressions_refused = t.regressions_refused;
-    fork_smells = t.fork_smells;
-    escalations = t.escalations;
-  }
-
-(* --- response plumbing --- *)
-
-let header response name = Http.Headers.get response.Http.Response.headers name
-
-let int_header response name = Option.bind (header response name) int_of_string_opt
-
-let checksum_header response =
-  Option.bind
-    (header response "X-Signature-Checksum")
-    (fun hex -> int_of_string_opt ("0x" ^ hex))
-
-let parse_response raw =
-  match Http.Response.parse raw with
-  | Error e -> Error ("response corrupt: " ^ Http.Wire.error_to_string e)
-  | Ok response -> (
-    let body = response.Http.Response.body in
-    match
-      Option.bind (header response "Content-Length") int_of_string_opt
-    with
-    | Some n when n <> String.length body ->
-      Error
-        (Printf.sprintf "content-length mismatch: declared %d, got %d" n
-           (String.length body))
-    | _ -> Ok response)
+let counters t = t.counters
 
 let request t ~transport ~since ~full =
-  let target =
-    Printf.sprintf "%s?tenant=%s&since=%d%s" Authority.signatures_endpoint
-      t.tenant since
-      (if full then "&full=1" else "")
-  in
-  let request =
-    Http.Request.make
-      ~headers:(Http.Headers.of_list [ ("Host", "sigauthority.local") ])
-      Http.Request.GET target
-  in
-  match transport (Http.Wire.print request) with
-  | Error _ as e -> e
-  | Ok raw -> parse_response raw
-
-let parse_sig_lines body =
-  let lines = if body = "" then [] else String.split_on_char '\n' body in
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Signature_io.of_line line with
-      | Ok s -> loop (s :: acc) rest
-      | Error e -> Error ("bad signature line: " ^ Leak_error.to_string e))
-  in
-  loop [] lines
-
-let parse_entry_lines body =
-  let lines = if body = "" then [] else String.split_on_char '\n' body in
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Changelog.entry_of_line line with
-      | Ok e -> loop (e :: acc) rest
-      | Error e -> Error ("bad delta line: " ^ e))
-  in
-  loop [] lines
+  Result.map snd
+    (Protocol.exchange ~host:"sigauthority.local" transport Http.Request.GET
+       (Protocol.signatures_target ~tenant:t.tenant ~since ~full))
 
 let refuse_regression t ~server ~held =
-  t.regressions_refused <- t.regressions_refused + 1;
+  count t (fun c -> { c with regressions_refused = c.regressions_refused + 1 });
   t.verify_failed <- true;
   Error
     (Printf.sprintf "version regression: server at %d, we hold %d" server held)
@@ -181,23 +112,26 @@ let apply_delta t ~since ~version ~advertised entries =
    own "recovery" bytes. *)
 let fetch t ~transport ~full_transport ~since =
   let full_resync () =
-    t.forced_full <- t.forced_full + 1;
+    count t (fun c -> { c with forced_full = c.forced_full + 1 });
     match request t ~transport:full_transport ~since ~full:true with
     | Error _ as e -> e
     | Ok response -> (
       match response.Http.Response.status with
       | 200 -> (
-        match int_header response "X-Signature-Version" with
+        match Protocol.version response with
         | None -> Error "missing version header"
         | Some version when version < since ->
           refuse_regression t ~server:version ~held:since
         | Some version -> (
-          match parse_sig_lines response.Http.Response.body with
+          match
+            Protocol.parse_body Protocol.signature_of_line
+              response.Http.Response.body
+          with
           | Error _ as e -> e
           | Ok set -> (
             match
               verified t ~mode:`Snapshot ~version
-                ~advertised:(checksum_header response) set
+                ~advertised:(Protocol.checksum response) set
             with
             | Ok (Signature_client.Set { version = v; signatures })
               when v = since && Changelog.checksum_set signatures = checksum t
@@ -214,7 +148,7 @@ let fetch t ~transport ~full_transport ~since =
   match request t ~transport ~since ~full:false with
   | Error _ as e -> e
   | Ok response -> (
-    let observed = int_header response "X-Signature-Version" in
+    let observed = Protocol.version response in
     match response.Http.Response.status with
     | 304 -> (
       match observed with
@@ -229,10 +163,10 @@ let fetch t ~transport ~full_transport ~since =
         let ours =
           Changelog.wire_checksum ~version:since (signatures t)
         in
-        (match checksum_header response with
+        (match Protocol.checksum response with
         | Some sum when sum = ours -> Ok (Signature_client.Up_to_date { observed })
         | Some _ | None ->
-          t.fork_smells <- t.fork_smells + 1;
+          count t (fun c -> { c with fork_smells = c.fork_smells + 1 });
           t.verify_failed <- true;
           full_resync ())
       | _ -> Ok (Signature_client.Up_to_date { observed }))
@@ -242,10 +176,13 @@ let fetch t ~transport ~full_transport ~since =
       | Some version when version < since ->
         refuse_regression t ~server:version ~held:since
       | Some version -> (
-        let advertised = checksum_header response in
-        match header response "X-Signature-Mode" with
+        let advertised = Protocol.checksum response in
+        match Protocol.mode response with
         | Some "delta" -> (
-          match parse_entry_lines response.Http.Response.body with
+          match
+            Protocol.parse_body Protocol.entry_of_line
+              response.Http.Response.body
+          with
           | Error _ as e -> e
           | Ok entries -> (
             match apply_delta t ~since ~version ~advertised entries with
@@ -255,7 +192,10 @@ let fetch t ~transport ~full_transport ~since =
                  what we reconstructed is not it (checksum): same cure. *)
               full_resync ()))
         | Some "snapshot" | None -> (
-          match parse_sig_lines response.Http.Response.body with
+          match
+            Protocol.parse_body Protocol.signature_of_line
+              response.Http.Response.body
+          with
           | Error _ as e -> e
           | Ok set -> verified t ~mode:`Snapshot ~version ~advertised set)
         | Some other -> Error (Printf.sprintf "unknown transfer mode %S" other)))
@@ -270,9 +210,9 @@ let sync_round t fetch =
   let report = Signature_client.sync t.inner ~fetch in
   (match (report.Signature_client.outcome, t.last_update) with
   | Signature_client.Updated _, Some (`Delta _) ->
-    t.delta_updates <- t.delta_updates + 1
+    count t (fun c -> { c with delta_updates = c.delta_updates + 1 })
   | Signature_client.Updated _, Some `Snapshot ->
-    t.snapshot_updates <- t.snapshot_updates + 1
+    count t (fun c -> { c with snapshot_updates = c.snapshot_updates + 1 })
   | _ -> ());
   report
 
@@ -288,7 +228,7 @@ let sync_via t ~relays ~origin =
     let escalate () =
       if not !escalated then begin
         escalated := true;
-        t.escalations <- t.escalations + 1
+        count t (fun c -> { c with escalations = c.escalations + 1 })
       end
     in
     sync_round t (fun ~since ->

@@ -3,7 +3,8 @@
 
     Wraps {!Leakdetect_monitor.Signature_client} — the retry / backoff /
     health machine is reused unchanged — and supplies it a fetch function
-    that speaks the delta protocol:
+    that speaks the delta protocol through the client half of
+    {!Protocol} (request, headers, body codecs):
 
     - ask for [?tenant=T&since=V]; a [delta]-mode answer is a changelog
       suffix applied entry-by-entry on top of the local set (idempotent:

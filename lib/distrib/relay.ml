@@ -1,13 +1,13 @@
 module Http = Leakdetect_http
 module Crc32 = Leakdetect_util.Crc32
 module Signature = Leakdetect_core.Signature
-module Signature_io = Leakdetect_core.Signature_io
 module Signature_client = Leakdetect_monitor.Signature_client
 module Obs = Leakdetect_obs.Obs
 
 type config = { compact_keep : int; digest_interval : int }
 
-let default_config = { compact_keep = 64; digest_interval = 8 }
+let default_config =
+  { compact_keep = 64; digest_interval = Protocol.default_digest_interval }
 
 type tenant_state = {
   dc : Delta_client.t;
@@ -19,6 +19,34 @@ type tenant_state = {
   mutable verified_sum : int;
 }
 
+type counters = {
+  sync_rounds : int;
+  sync_failures : int;
+  resnapshots : int;
+  resnapshot_bytes : int;
+  repairs : int;
+  repair_bytes : int;
+  gossip_rounds : int;
+  gossip_catchups : int;
+  served_delta : int;
+  served_snapshot : int;
+  served_not_modified : int;
+  served_unready : int;
+  served_inconsistent : int;
+  served_digest : int;
+  forwarded : int;
+  forward_failures : int;
+}
+
+let zero =
+  {
+    sync_rounds = 0; sync_failures = 0; resnapshots = 0; resnapshot_bytes = 0;
+    repairs = 0; repair_bytes = 0; gossip_rounds = 0; gossip_catchups = 0;
+    served_delta = 0; served_snapshot = 0; served_not_modified = 0;
+    served_unready = 0; served_inconsistent = 0; served_digest = 0;
+    forwarded = 0; forward_failures = 0;
+  }
+
 type t = {
   id : string;
   config : config;
@@ -28,27 +56,14 @@ type t = {
   mutable peers : (string * (string -> (string, string) result)) list;
   mutable shard : Shard_map.t option;
   mutable clock : int;
-  mutable sync_rounds : int;
-  mutable sync_failures : int;
-  mutable resnapshots : int;
-  mutable resnapshot_bytes : int;
-  mutable repairs : int;
-  mutable repair_bytes : int;
-  mutable gossip_rounds : int;
-  mutable gossip_catchups : int;
-  mutable served_delta : int;
-  mutable served_snapshot : int;
-  mutable served_not_modified : int;
-  mutable served_unready : int;
-  mutable served_inconsistent : int;
-  mutable served_digest : int;
-  mutable forwarded : int;
-  mutable forward_failures : int;
+  mutable counters : counters;
 }
+
+let count t f = t.counters <- f t.counters
 
 let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
     ?(seed = 0) ~id ~tenants () =
-  if not (Authority.id_ok id) then
+  if not (Protocol.id_ok id) then
     invalid_arg (Printf.sprintf "Relay: bad id %S" id);
   if config.digest_interval < 1 then
     invalid_arg "Relay: digest_interval < 1";
@@ -62,22 +77,7 @@ let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
       peers = [];
       shard = None;
       clock = 0;
-      sync_rounds = 0;
-      sync_failures = 0;
-      resnapshots = 0;
-      resnapshot_bytes = 0;
-      repairs = 0;
-      repair_bytes = 0;
-      gossip_rounds = 0;
-      gossip_catchups = 0;
-      served_delta = 0;
-      served_snapshot = 0;
-      served_not_modified = 0;
-      served_unready = 0;
-      served_inconsistent = 0;
-      served_digest = 0;
-      forwarded = 0;
-      forward_failures = 0;
+      counters = zero;
     }
   in
   List.iteri
@@ -155,28 +155,8 @@ let consistent t ~tenant =
   | Some st -> st.synced && consistent_st st
   | None -> false
 
-(* --- raw sub-requests (digest probes, repair fetches) --- *)
-
-let raw_get ~transport target =
-  let request =
-    Http.Request.make
-      ~headers:(Http.Headers.of_list [ ("Host", "sigrelay.local") ])
-      Http.Request.GET target
-  in
-  match transport (Http.Wire.print request) with
-  | Error _ -> None
-  | Ok raw -> (
-    match Http.Response.parse raw with
-    | Error _ -> None
-    | Ok response -> (
-      let body = response.Http.Response.body in
-      match
-        Option.bind
-          (Http.Headers.get response.Http.Response.headers "Content-Length")
-          int_of_string_opt
-      with
-      | Some n when n <> String.length body -> None
-      | _ -> Some (raw, response)))
+(* Digest probes and repair fetches identify as the relay. *)
+let host = "sigrelay.local"
 
 (* --- mirror maintenance: resnapshot, ranged repair, absorb --- *)
 
@@ -187,9 +167,6 @@ let resnapshot t st =
      the wire cost a full resync would have paid, so repair savings are
      directly comparable. *)
   let set = Delta_client.signatures st.dc in
-  t.resnapshot_bytes <-
-    t.resnapshot_bytes
-    + String.length (String.concat "\n" (List.map Signature_io.to_line set));
   (match
      Changelog.restore
        ~base_version:(Delta_client.version st.dc)
@@ -197,7 +174,13 @@ let resnapshot t st =
    with
   | Ok log -> st.mirror <- log
   | Error e -> invalid_arg ("Relay: resnapshot failed: " ^ e));
-  t.resnapshots <- t.resnapshots + 1
+  count t (fun c ->
+      {
+        c with
+        resnapshots = c.resnapshots + 1;
+        resnapshot_bytes =
+          c.resnapshot_bytes + String.length (Protocol.signatures_body set);
+      })
 
 (* Ranged anti-entropy repair.  Fetch the checkpoint digest from
    [transport] (origin, or a sibling whose own serving guard vouches for
@@ -208,102 +191,87 @@ let resnapshot t st =
    source can waste our time but never poison the mirror. *)
 let try_repair t st ~transport =
   let tenant = Delta_client.tenant st.dc in
-  let horizon = Changelog.horizon st.mirror in
-  let dtarget =
-    Printf.sprintf "%s?tenant=%s&since=%d&interval=%d"
-      Authority.digest_endpoint tenant horizon t.config.digest_interval
-  in
-  match raw_get ~transport dtarget with
-  | None -> false
-  | Some (draw, dresp) -> (
-    if dresp.Http.Response.status <> 200 then false
-    else
-      match Changelog.digest_of_body dresp.Http.Response.body with
-      | Error _ -> false
-      | Ok checkpoints -> (
-        let agree =
-          List.fold_left
-            (fun acc (v, sum) ->
-              if Changelog.checksum_at st.mirror v = Some sum then Some v
-              else acc)
-            None checkpoints
+  match
+    Protocol.fetch_digest ~host transport ~tenant
+      ~since:(Changelog.horizon st.mirror) ~interval:t.config.digest_interval
+  with
+  | Error _ -> false
+  | Ok (draw, checkpoints) -> (
+    let agree =
+      List.fold_left
+        (fun acc (v, sum) ->
+          if Changelog.checksum_at st.mirror v = Some sum then Some v
+          else acc)
+        None checkpoints
+    in
+    match agree with
+    | None -> false (* divergence below the horizon: resnapshot *)
+    | Some split ->
+      let splice fetched_raw fetched =
+        (* Entries past the verified head are trimmed: the source
+           may have advanced beyond what our client has verified,
+           and the mirror must never outrun verification. *)
+        let held = Delta_client.version st.dc in
+        let fetched =
+          List.filter
+            (fun (e : Changelog.entry) -> e.Changelog.version <= held)
+            fetched
         in
-        match agree with
-        | None -> false (* divergence below the horizon: resnapshot *)
-        | Some split ->
-          let splice fetched_raw fetched =
-            (* Entries past the verified head are trimmed: the source
-               may have advanced beyond what our client has verified,
-               and the mirror must never outrun verification. *)
-            let held = Delta_client.version st.dc in
-            let fetched =
-              List.filter
-                (fun (e : Changelog.entry) -> e.Changelog.version <= held)
-                fetched
-            in
-            let prefix =
-              List.filter
-                (fun (e : Changelog.entry) ->
-                  e.Changelog.version <= split && e.Changelog.version <= held)
-                (Changelog.entries st.mirror)
-            in
+        let prefix =
+          List.filter
+            (fun (e : Changelog.entry) ->
+              e.Changelog.version <= split && e.Changelog.version <= held)
+            (Changelog.entries st.mirror)
+        in
+        match
+          Changelog.restore
+            ~base_version:(Changelog.horizon st.mirror)
+            ~base:(Changelog.base st.mirror)
+            ~next_id:0
+            ~entries:(prefix @ fetched)
+        with
+        | Error _ -> false
+        | Ok log ->
+          if
+            Changelog.version log = held
+            && Changelog.current_checksum log = st.verified_sum
+          then begin
+            st.mirror <- log;
+            Changelog.compact st.mirror ~keep:t.config.compact_keep;
+            count t (fun c ->
+                {
+                  c with
+                  repairs = c.repairs + 1;
+                  repair_bytes =
+                    c.repair_bytes + String.length draw
+                    + String.length fetched_raw;
+                });
+            true
+          end
+          else false
+      in
+      if split >= Delta_client.version st.dc then
+        (* The fork is entirely past the verified head (e.g. bogus
+           entries appended to a current mirror): truncation alone
+           repairs it, no suffix fetch needed. *)
+        splice "" []
+      else
+        match
+          Protocol.exchange ~host transport Http.Request.GET
+            (Protocol.signatures_target ~tenant ~since:split ~full:false)
+        with
+        | Error _ -> false
+        | Ok (sraw, sresp) -> (
+          if
+            sresp.Http.Response.status <> 200
+            || Protocol.mode sresp <> Some "delta"
+          then false
+          else
             match
-              Changelog.restore
-                ~base_version:(Changelog.horizon st.mirror)
-                ~base:(Changelog.base st.mirror)
-                ~next_id:0
-                ~entries:(prefix @ fetched)
+              Protocol.parse_body Protocol.entry_of_line sresp.Http.Response.body
             with
             | Error _ -> false
-            | Ok log ->
-              if
-                Changelog.version log = held
-                && Changelog.current_checksum log = st.verified_sum
-              then begin
-                st.mirror <- log;
-                Changelog.compact st.mirror ~keep:t.config.compact_keep;
-                t.repairs <- t.repairs + 1;
-                t.repair_bytes <-
-                  t.repair_bytes + String.length draw
-                  + String.length fetched_raw;
-                true
-              end
-              else false
-          in
-          if split >= Delta_client.version st.dc then
-            (* The fork is entirely past the verified head (e.g. bogus
-               entries appended to a current mirror): truncation alone
-               repairs it, no suffix fetch needed. *)
-            splice "" []
-          else
-            let starget =
-              Printf.sprintf "%s?tenant=%s&since=%d"
-                Authority.signatures_endpoint tenant split
-            in
-            match raw_get ~transport starget with
-            | None -> false
-            | Some (sraw, sresp) -> (
-              if
-                sresp.Http.Response.status <> 200
-                || Http.Headers.get sresp.Http.Response.headers
-                     "X-Signature-Mode"
-                   <> Some "delta"
-              then false
-              else
-                let lines =
-                  let body = sresp.Http.Response.body in
-                  if body = "" then [] else String.split_on_char '\n' body
-                in
-                let rec parse acc = function
-                  | [] -> Some (List.rev acc)
-                  | line :: rest -> (
-                    match Changelog.entry_of_line line with
-                    | Ok e -> parse (e :: acc) rest
-                    | Error _ -> None)
-                in
-                match parse [] lines with
-                | None -> false
-                | Some fetched -> splice sraw fetched)))
+            | Ok fetched -> splice sraw fetched))
 
 (* Repair first, rebuild as the last resort: either way the mirror ends
    exactly on the verified client state. *)
@@ -358,7 +326,7 @@ let note_verified t st =
 
 let sync_tenant t ~tenant ~transport =
   let st = state t ~tenant in
-  t.sync_rounds <- t.sync_rounds + 1;
+  count t (fun c -> { c with sync_rounds = c.sync_rounds + 1 });
   let report = Delta_client.sync st.dc ~transport in
   (match report.Signature_client.outcome with
   | Signature_client.Updated _ ->
@@ -370,7 +338,8 @@ let sync_tenant t ~tenant ~transport =
        rot) — heal it now rather than waiting for the next delta. *)
     note_verified t st;
     ensure_consistent t st ~transport
-  | Signature_client.Failed _ -> t.sync_failures <- t.sync_failures + 1);
+  | Signature_client.Failed _ ->
+    count t (fun c -> { c with sync_failures = c.sync_failures + 1 }));
   staleness_gauge t tenant st;
   report
 
@@ -383,24 +352,20 @@ let sync_tenant t ~tenant ~transport =
    gossip only moves *verified* suffixes sideways, and any full=1
    escalation inside the catch-up sync is pinned to the origin. *)
 let gossip t ~upstream =
-  t.gossip_rounds <- t.gossip_rounds + 1;
+  count t (fun c -> { c with gossip_rounds = c.gossip_rounds + 1 });
   List.iter
     (fun tenant ->
       let st = state t ~tenant in
       let held = Delta_client.version st.dc in
       let probe (pid, ptransport) =
-        let target =
-          Printf.sprintf "%s?tenant=%s&since=%d&interval=1"
-            Authority.digest_endpoint tenant max_int
-        in
-        match raw_get ~transport:ptransport target with
-        | Some (_, resp) when resp.Http.Response.status = 200 -> (
-          match Changelog.digest_of_body resp.Http.Response.body with
-          | Ok ((_ :: _) as checkpoints) ->
-            let v, _ = List.nth checkpoints (List.length checkpoints - 1) in
-            if v > held then Some (v, pid, ptransport) else None
-          | Ok [] | Error _ -> None)
-        | _ -> None
+        match
+          Protocol.fetch_digest ~host ptransport ~tenant ~since:max_int
+            ~interval:1
+        with
+        | Ok (_, (_ :: _ as checkpoints)) ->
+          let v, _ = List.nth checkpoints (List.length checkpoints - 1) in
+          if v > held then Some (v, pid, ptransport) else None
+        | Ok (_, []) | Error _ -> None
       in
       let rank pid =
         match t.shard with
@@ -427,7 +392,8 @@ let gossip t ~upstream =
           | Signature_client.Updated _ ->
             note_verified t st;
             mirror_absorb t st ~transport:ptransport;
-            t.gossip_catchups <- t.gossip_catchups + 1;
+            count t (fun c ->
+                { c with gossip_catchups = c.gossip_catchups + 1 });
             staleness_gauge t tenant st
           | Signature_client.Unchanged | Signature_client.Failed _ ->
             catch_up rest)
@@ -467,47 +433,7 @@ let inject_fork t ~tenant =
 
 (* --- serving --- *)
 
-type counters = {
-  sync_rounds : int;
-  sync_failures : int;
-  resnapshots : int;
-  resnapshot_bytes : int;
-  repairs : int;
-  repair_bytes : int;
-  gossip_rounds : int;
-  gossip_catchups : int;
-  served_delta : int;
-  served_snapshot : int;
-  served_not_modified : int;
-  served_unready : int;
-  served_inconsistent : int;
-  served_digest : int;
-  forwarded : int;
-  forward_failures : int;
-}
-
-let counters (t : t) : counters =
-  {
-    sync_rounds = t.sync_rounds;
-    sync_failures = t.sync_failures;
-    resnapshots = t.resnapshots;
-    resnapshot_bytes = t.resnapshot_bytes;
-    repairs = t.repairs;
-    repair_bytes = t.repair_bytes;
-    gossip_rounds = t.gossip_rounds;
-    gossip_catchups = t.gossip_catchups;
-    served_delta = t.served_delta;
-    served_snapshot = t.served_snapshot;
-    served_not_modified = t.served_not_modified;
-    served_unready = t.served_unready;
-    served_inconsistent = t.served_inconsistent;
-    served_digest = t.served_digest;
-    forwarded = t.forwarded;
-    forward_failures = t.forward_failures;
-  }
-
-let served (t : t) =
-  t.served_delta + t.served_snapshot + t.served_not_modified
+let counters t = t.counters
 
 let relay_headers t st =
   [ ("X-Relay-Id", t.id);
@@ -517,163 +443,43 @@ let relay_headers t st =
     ( "X-Relay-Version-Age",
       string_of_int (max 0 (t.clock - st.last_sync_tick)) ) ]
 
-let version_headers st =
-  let version = Changelog.version st.mirror in
-  [ ("X-Signature-Version", string_of_int version);
-    ( "X-Signature-Checksum",
-      Crc32.to_hex
-        (Changelog.wire_checksum ~version (Changelog.current st.mirror)) ) ]
+(* Serve a tenant endpoint from the mirror, behind the relay's guard: 404
+   for a tenant this relay does not carry, 503 before the first verified
+   sync (never an empty set a synced client would refuse as a
+   regression) and 503 while the mirror has diverged from the verified
+   state (fork, bit rot) — repair will converge it. *)
+let guarded t ~tenant serve =
+  match Hashtbl.find_opt t.tenant_tbl tenant with
+  | None -> Http.Response.make 404
+  | Some st when st.synced && consistent_st st -> serve st
+  | Some st ->
+    count t (fun c ->
+        if st.synced then
+          { c with served_inconsistent = c.served_inconsistent + 1 }
+        else { c with served_unready = c.served_unready + 1 });
+    Http.Response.make
+      ~headers:(Http.Headers.of_list (("Retry-After", "1") :: relay_headers t st))
+      503
 
-let unready (t : t) st ~counter =
-  (match counter with
-  | `Unready -> t.served_unready <- t.served_unready + 1
-  | `Inconsistent -> t.served_inconsistent <- t.served_inconsistent + 1);
-  Http.Response.make
-    ~headers:(Http.Headers.of_list (("Retry-After", "1") :: relay_headers t st))
-    503
-
-let handle_signatures t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else
-    match List.assoc_opt "tenant" params with
-    | Some tenant when Authority.id_ok tenant -> (
-      match Hashtbl.find_opt t.tenant_tbl tenant with
-      | None -> Http.Response.make 404
-      | Some st -> (
-        let since =
-          match List.assoc_opt "since" params with
-          | Some v -> int_of_string_opt v
-          | None -> Some 0
-        in
-        let full = List.assoc_opt "full" params = Some "1" in
-        match since with
-        | None -> Http.Response.make 400
-        | Some since when since < 0 -> Http.Response.make 400
-        | Some since ->
-          if not st.synced then
-            (* Nothing verified yet: refuse rather than serve an empty
-               set a synced client would refuse as a regression. *)
-            unready t st ~counter:`Unready
-          else if not (consistent_st st) then
-            (* The mirror diverged from the verified state (fork, bit
-               rot): never serve it — repair will converge it. *)
-            unready t st ~counter:`Inconsistent
-          else
-            let head = Changelog.version st.mirror in
-            let headers extra =
-              Http.Headers.of_list
-                (version_headers st @ relay_headers t st @ extra)
-            in
-            if since >= head && not full then begin
-              t.served_not_modified <- t.served_not_modified + 1;
-              Http.Response.make ~headers:(headers []) 304
-            end
-            else
-              let snapshot () =
-                t.served_snapshot <- t.served_snapshot + 1;
-                let body =
-                  String.concat "\n"
-                    (List.map Signature_io.to_line
-                       (Changelog.current st.mirror))
-                in
-                Http.Response.make
-                  ~headers:
-                    (headers
-                       [ ("X-Signature-Mode", "snapshot");
-                         ("Content-Type", "text/tab-separated-values") ])
-                  ~body 200
-              in
-              if full then snapshot ()
-              else
-                match Changelog.since st.mirror since with
-                | None -> snapshot ()
-                | Some entries ->
-                  t.served_delta <- t.served_delta + 1;
-                  let body =
-                    String.concat "\n"
-                      (List.map Changelog.entry_to_line entries)
-                  in
-                  Http.Response.make
-                    ~headers:
-                      (headers
-                         [ ("X-Signature-Mode", "delta");
-                           ("X-Signature-Since", string_of_int since);
-                           ("Content-Type", "text/tab-separated-values") ])
-                    ~body 200))
-    | _ -> Http.Response.make 400
-
-(* Sibling-facing: the ranged digest of the mirror, with the same
-   refusal rules as /signatures — an unsynced or inconsistent mirror
-   must not advertise a head other relays could try to catch up to. *)
-let handle_digest t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else
-    match List.assoc_opt "tenant" params with
-    | Some tenant when Authority.id_ok tenant -> (
-      match Hashtbl.find_opt t.tenant_tbl tenant with
-      | None -> Http.Response.make 404
-      | Some st -> (
-        let since =
-          match List.assoc_opt "since" params with
-          | Some v -> int_of_string_opt v
-          | None -> Some 0
-        in
-        let interval =
-          match List.assoc_opt "interval" params with
-          | Some v -> int_of_string_opt v
-          | None -> Some t.config.digest_interval
-        in
-        match (since, interval) with
-        | Some since, Some interval when since >= 0 && interval >= 1 ->
-          if not st.synced then unready t st ~counter:`Unready
-          else if not (consistent_st st) then
-            unready t st ~counter:`Inconsistent
-          else begin
-            t.served_digest <- t.served_digest + 1;
-            let body =
-              Changelog.digest_to_body
-                (Changelog.digest st.mirror ~since ~interval)
-            in
-            Http.Response.make
-              ~headers:
-                (Http.Headers.of_list
-                   (version_headers st @ relay_headers t st
-                   @ [ ("X-Signature-Mode", "digest");
-                       ("Content-Type", "text/tab-separated-values") ]))
-              ~body 200
-          end
-        | _ -> Http.Response.make 400))
-    | _ -> Http.Response.make 400
-
-let handle_candidates t (request : Http.Request.t) =
-  if request.Http.Request.meth <> Http.Request.POST then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "POST") ]) 405
-  else
+(* Candidate reports are forwarded verbatim: the origin judges them. *)
+let forward_candidates t (request : Http.Request.t) =
+  let answer =
     match t.upstream with
-    | None ->
-      t.forward_failures <- t.forward_failures + 1;
-      Http.Response.make
-        ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-        503
+    | None -> None
     | Some upstream -> (
       match upstream (Http.Wire.print request) with
-      | Error _ ->
-        t.forward_failures <- t.forward_failures + 1;
-        Http.Response.make
-          ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-          503
-      | Ok raw -> (
-        match Http.Response.parse raw with
-        | Error _ ->
-          t.forward_failures <- t.forward_failures + 1;
-          Http.Response.make
-            ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-            503
-        | Ok response ->
-          t.forwarded <- t.forwarded + 1;
-          response))
+      | Error _ -> None
+      | Ok raw -> Result.to_option (Http.Response.parse raw))
+  in
+  match answer with
+  | Some response ->
+    count t (fun c -> { c with forwarded = c.forwarded + 1 });
+    response
+  | None ->
+    count t (fun c -> { c with forward_failures = c.forward_failures + 1 });
+    Http.Response.make
+      ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
+      503
 
 (* Scrape-time export: the counter totals as gauges plus the per-tenant
    freshness gauges, refreshed so a scrape between events still sees
@@ -685,71 +491,63 @@ let refresh_metrics t =
         (Obs.gauge t.obs ~help ~labels:[ ("relay", t.id) ] name)
         value
     in
-    gauge "leakdetect_relay_sync_rounds" "Upstream sync rounds attempted."
-      t.sync_rounds;
-    gauge "leakdetect_relay_sync_failures"
-      "Upstream sync rounds that exhausted the retry budget."
-      t.sync_failures;
-    gauge "leakdetect_relay_resnapshots" "Full mirror rebuilds."
-      t.resnapshots;
-    gauge "leakdetect_relay_resnapshot_bytes"
-      "Canonical snapshot bytes paid by mirror rebuilds." t.resnapshot_bytes;
-    gauge "leakdetect_relay_repairs" "Ranged anti-entropy mirror repairs."
-      t.repairs;
-    gauge "leakdetect_relay_repair_bytes"
-      "Wire bytes paid by ranged repairs (digest + suffix)." t.repair_bytes;
-    gauge "leakdetect_relay_gossip_rounds" "Sibling gossip rounds run."
-      t.gossip_rounds;
-    gauge "leakdetect_relay_gossip_catchups"
-      "Tenant catch-ups pulled from a sibling during gossip."
-      t.gossip_catchups;
-    gauge "leakdetect_relay_served_delta" "Delta responses served."
-      t.served_delta;
-    gauge "leakdetect_relay_served_snapshot" "Snapshot responses served."
-      t.served_snapshot;
-    gauge "leakdetect_relay_served_not_modified" "304 responses served."
-      t.served_not_modified;
-    gauge "leakdetect_relay_served_unready"
-      "503s before the first verified sync." t.served_unready;
-    gauge "leakdetect_relay_served_inconsistent"
-      "503s while the mirror diverged from the verified state."
-      t.served_inconsistent;
-    gauge "leakdetect_relay_served_digest" "Digest responses served."
-      t.served_digest;
-    gauge "leakdetect_relay_forwarded" "Candidate POSTs relayed upstream."
-      t.forwarded;
-    gauge "leakdetect_relay_forward_failures" "Candidate forwards that failed."
-      t.forward_failures;
+    let c = t.counters in
+    List.iter
+      (fun (name, help, value) -> gauge ("leakdetect_relay_" ^ name) help value)
+      [ ("sync_rounds", "Upstream sync rounds attempted.", c.sync_rounds);
+        ( "sync_failures",
+          "Upstream sync rounds that exhausted the retry budget.",
+          c.sync_failures );
+        ("resnapshots", "Full mirror rebuilds.", c.resnapshots);
+        ( "resnapshot_bytes",
+          "Canonical snapshot bytes paid by mirror rebuilds.",
+          c.resnapshot_bytes );
+        ("repairs", "Ranged anti-entropy mirror repairs.", c.repairs);
+        ( "repair_bytes",
+          "Wire bytes paid by ranged repairs (digest + suffix).",
+          c.repair_bytes );
+        ("gossip_rounds", "Sibling gossip rounds run.", c.gossip_rounds);
+        ( "gossip_catchups",
+          "Tenant catch-ups pulled from a sibling during gossip.",
+          c.gossip_catchups );
+        ("served_delta", "Delta responses served.", c.served_delta);
+        ("served_snapshot", "Snapshot responses served.", c.served_snapshot);
+        ("served_not_modified", "304 responses served.", c.served_not_modified);
+        ("served_unready", "503s before the first verified sync.", c.served_unready);
+        ( "served_inconsistent",
+          "503s while the mirror diverged from the verified state.",
+          c.served_inconsistent );
+        ("served_digest", "Digest responses served.", c.served_digest);
+        ("forwarded", "Candidate POSTs relayed upstream.", c.forwarded);
+        ("forward_failures", "Candidate forwards that failed.", c.forward_failures) ];
     Hashtbl.iter (fun tenant st -> staleness_gauge t tenant st) t.tenant_tbl
   end
 
-let handle_metrics t (request : Http.Request.t) =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else begin
+let handle t request =
+  match Protocol.route request with
+  | Error answer -> answer
+  | Ok Protocol.Metrics ->
     refresh_metrics t;
-    Http.Response.make
-      ~headers:
-        (Http.Headers.of_list
-           [ ("Content-Type", "text/plain; version=0.0.4; charset=utf-8") ])
-      ~body:(Obs.to_prometheus t.obs) 200
-  end
+    Protocol.serve_metrics t.obs
+  | Ok Protocol.Candidates -> forward_candidates t request
+  | Ok (Protocol.Signatures { tenant; since; full }) ->
+    guarded t ~tenant (fun st ->
+        let mode, response =
+          Protocol.serve_signatures ~headers:(relay_headers t st) st.mirror
+            ~since ~full
+        in
+        count t (fun c ->
+            match mode with
+            | Protocol.Not_modified ->
+              { c with served_not_modified = c.served_not_modified + 1 }
+            | Protocol.Delta -> { c with served_delta = c.served_delta + 1 }
+            | Protocol.Snapshot ->
+              { c with served_snapshot = c.served_snapshot + 1 });
+        response)
+  | Ok (Protocol.Digest { tenant; since; interval }) ->
+    guarded t ~tenant (fun st ->
+        count t (fun c -> { c with served_digest = c.served_digest + 1 });
+        Protocol.serve_digest ~headers:(relay_headers t st) st.mirror ~since
+          ~interval)
 
-let handle t (request : Http.Request.t) =
-  let path, query =
-    Leakdetect_net.Url.split_path_query request.Http.Request.target
-  in
-  let params =
-    Option.value ~default:[] (Leakdetect_net.Url.decode_query query)
-  in
-  if path = Authority.signatures_endpoint then
-    handle_signatures t request params
-  else if path = Authority.digest_endpoint then handle_digest t request params
-  else if path = Authority.metrics_endpoint then handle_metrics t request
-  else if path = Authority.candidates_endpoint then handle_candidates t request
-  else Http.Response.make 404
-
-let wire_transport t raw =
-  match Http.Wire.parse raw with
-  | Error e -> Error ("request corrupt: " ^ Http.Wire.error_to_string e)
-  | Ok request -> Ok (Http.Response.print (handle t request))
+let wire_transport t raw = Protocol.wire_transport (handle t) raw

@@ -4,10 +4,11 @@
     machinery devices use — checksum binding, gap detection, regression
     refusal, retry/backoff) plus a {!Changelog} mirror rebuilt from the
     verified entry suffixes the client applied.  It re-serves
-    [GET /signatures] from that mirror with the origin's exact semantics
-    (delta / snapshot / 304, version and wire-checksum headers), so a
-    device cannot tell a relay from an origin — except by the extra
-    relay headers below.
+    [GET /signatures] and [GET /digest] from that mirror through the same
+    {!Protocol} functions an origin uses, so a device cannot tell a relay
+    from an origin — except by the relay's own parts below: the serving
+    guard, the relay headers, [404] for a tenant it does not carry, and
+    candidate forwarding.
 
     {b Serving guard.}  Every tenant response is gated twice: [503]
     until the tenant's first verified sync (never serve unverified or
@@ -55,21 +56,22 @@
       failing"; version-age says "how old what I serve might be".
 
     [POST /candidates] is not served locally: it is forwarded verbatim to
-    the upstream transport ({!set_upstream}), [503] when none is set or
-    the forward fails. *)
+    the upstream transport ({!set_upstream}) without checking its ids,
+    [503] when none is set or the forward fails. *)
 
 type config = {
   compact_keep : int;
       (** Mirror entries kept delta-servable (compacted after each
           successful sync). *)
   digest_interval : int;
-      (** Checkpoint stride for served and requested anti-entropy
-          digests. *)
+      (** Checkpoint stride of the anti-entropy digests this relay
+          requests for repair; a [/digest] request it serves without
+          [interval] gets {!Protocol.default_digest_interval}. *)
 }
 
 val default_config : config
 (** [compact_keep = 64] (matching {!Authority.default_config}),
-    [digest_interval = 8]. *)
+    [digest_interval] = {!Protocol.default_digest_interval}. *)
 
 type t
 
@@ -181,16 +183,12 @@ type counters = {
 
 val counters : t -> counters
 
-val served : t -> int
-(** Total GET /signatures answered from verified state (delta + snapshot
-    + 304) — the numerator of the origin-offload ratio. *)
-
 val handle : t -> Leakdetect_http.Request.t -> Leakdetect_http.Response.t
 (** Origin-shaped [GET /signatures] and [GET /digest] from the mirror
     (plus the relay headers on every tenant response), [GET /metrics]
     (Prometheus exposition: per-tenant staleness / version-age / version
     gauges and the counter totals), [POST /candidates] forwarded
-    upstream; [404] elsewhere. *)
+    upstream; {!Protocol.route}'s [404] / [405] / [400] otherwise. *)
 
 val wire_transport : t -> string -> (string, string) result
 (** Parse printed request bytes, {!handle}, print the response. *)

@@ -42,10 +42,6 @@
 
 type t
 
-val id_ok : string -> bool
-(** Valid origin id: [A-Za-z0-9._:-], 1–64 chars (the {!Authority} id
-    alphabet; comma-free so ids embed in the line codec). *)
-
 val create :
   ?weights:(string * int) list ->
   ?proximity:(string * string * int) list ->
@@ -53,8 +49,8 @@ val create :
   origins:string list ->
   unit ->
   (t, string) result
-(** [Error] when the epoch is negative, the list is empty, an id is
-    invalid, ids repeat, a weight is below 1 or names an unknown origin,
+(** [Error] when the epoch is negative, the list is empty, an id fails
+    {!Protocol.id_ok}, ids repeat, a weight is below 1 or names an unknown origin,
     or a proximity distance is negative.  Origins are kept sorted;
     omitted weights default to 1. *)
 

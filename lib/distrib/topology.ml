@@ -227,45 +227,6 @@ let validate config =
 let tenant_name i = Printf.sprintf "tenant%d" i
 let origin_name i = Printf.sprintf "origin%d" i
 
-let post_candidates ~transport ~tenant ~reporter sigs =
-  let target =
-    Printf.sprintf "%s?tenant=%s&reporter=%s" Authority.candidates_endpoint
-      tenant reporter
-  in
-  let body = String.concat "\n" (List.map Signature_io.to_line sigs) in
-  let request =
-    Http.Request.make
-      ~headers:(Http.Headers.of_list [ ("Host", "sigrelay.local") ])
-      ~body Http.Request.POST target
-  in
-  match transport (Http.Wire.print request) with
-  | Error _ as e -> e
-  | Ok raw -> (
-    match Http.Response.parse raw with
-    | Error e -> Error ("response corrupt: " ^ Http.Wire.error_to_string e)
-    | Ok response ->
-      if response.Http.Response.status <> 200 then
-        Error (Printf.sprintf "status %d" response.Http.Response.status)
-      else
-        let tally = Hashtbl.create 4 in
-        let ok =
-          List.for_all
-            (fun line ->
-              match String.split_on_char '\t' line with
-              | [ key; n ] -> (
-                match int_of_string_opt n with
-                | Some n ->
-                  Hashtbl.replace tally key n;
-                  true
-                | None -> false)
-              | _ -> false)
-            (String.split_on_char '\n' response.Http.Response.body)
-        in
-        if not ok then Error "bad tally body"
-        else
-          let get k = Option.value ~default:0 (Hashtbl.find_opt tally k) in
-          Ok (get "accepted", get "duplicate", get "capped"))
-
 let run ?(obs = Obs.noop) ~dir config =
   validate config;
   let master_rng = Prng.create config.seed in
@@ -598,24 +559,14 @@ let run ?(obs = Obs.noop) ~dir config =
       match Http.Wire.parse raw with
       | Error e -> Error ("request corrupt: " ^ Http.Wire.error_to_string e)
       | Ok request -> (
-        let _, query =
-          Leakdetect_net.Url.split_path_query request.Http.Request.target
-        in
-        let params =
-          Option.value ~default:[] (Leakdetect_net.Url.decode_query query)
-        in
-        match List.assoc_opt "tenant" params with
+        match List.assoc_opt "tenant" (Http.Request.query_params request) with
         | Some tenant when Hashtbl.mem relay_known.(i) tenant ->
           route_421 relay_plans.(i) (Hashtbl.find relay_known.(i) tenant) raw
         | _ -> Error "forward: unroutable tenant")
   in
   let fresh_relay i =
     Relay.create ~obs
-      ~config:
-        {
-          Relay.compact_keep = config.compact_keep;
-          digest_interval = Relay.default_config.Relay.digest_interval;
-        }
+      ~config:{ Relay.default_config with compact_keep = config.compact_keep }
       ~seed:(seed_of ())
       ~id:(relay_name i)
       ~tenants ()
@@ -864,11 +815,14 @@ let run ?(obs = Obs.noop) ~dir config =
             else relay_server (Prng.int server_rng config.relays)
           in
           let transport raw = faulty_call reporter_plan server raw in
-          match post_candidates ~transport ~tenant ~reporter sigs with
-          | Ok (a, d, cap) ->
-            accepted_reports := !accepted_reports + a;
-            duplicate_reports := !duplicate_reports + d;
-            capped_reports := !capped_reports + cap;
+          match
+            Protocol.post_candidates ~host:"sigrelay.local" transport ~tenant
+              ~reporter sigs
+          with
+          | Ok tally ->
+            accepted_reports := !accepted_reports + tally.Protocol.accepted;
+            duplicate_reports := !duplicate_reports + tally.Protocol.duplicate;
+            capped_reports := !capped_reports + tally.Protocol.capped;
             record_committed tenant
           | Error _ ->
             if attempts > 1 then

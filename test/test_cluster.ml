@@ -166,54 +166,6 @@ let prop_single_below_complete =
       let h linkage = Dendrogram.height (Option.get (Agglomerative.cluster ~linkage m)) in
       h Agglomerative.Single <= h Agglomerative.Complete +. 1e-9)
 
-(* --- Nn_chain --- *)
-
-let sorted_heights tree =
-  List.sort compare (Dendrogram.heights tree)
-
-let test_nn_chain_hand_case () =
-  let points = [| 0.; 1.; 5. |] in
-  let m = Dist_matrix.build 3 (fun i j -> Float.abs (points.(i) -. points.(j))) in
-  match Nn_chain.cluster m with
-  | None -> Alcotest.fail "no tree"
-  | Some tree ->
-    Alcotest.(check (float 1e-9)) "root height" 4.5 (Dendrogram.height tree);
-    Alcotest.(check (list int)) "leaves" [ 0; 1; 2 ] (Dendrogram.members tree)
-
-let test_nn_chain_edge_cases () =
-  Alcotest.(check bool) "empty" true (Nn_chain.cluster (Dist_matrix.create 0) = None);
-  (match Nn_chain.cluster (Dist_matrix.create 1) with
-  | Some (Dendrogram.Leaf 0) -> ()
-  | _ -> Alcotest.fail "singleton");
-  match Nn_chain.cluster (Dist_matrix.create 2) with
-  | Some t -> Alcotest.(check int) "pair" 2 (Dendrogram.size t)
-  | None -> Alcotest.fail "pair"
-
-let prop_nn_chain_matches_naive linkage name =
-  QCheck.Test.make ~name ~count:80
-    QCheck.(int_range 2 22)
-    (fun n ->
-      let rng = Leakdetect_util.Prng.create (n * 97) in
-      let m = random_matrix rng n in
-      let naive = Option.get (Agglomerative.cluster ~linkage m) in
-      let chain = Option.get (Nn_chain.cluster ~linkage m) in
-      Dendrogram.members chain = List.init n Fun.id
-      && List.for_all2
-           (fun a b -> Float.abs (a -. b) < 1e-6)
-           (sorted_heights naive) (sorted_heights chain))
-
-let prop_nn_chain_average =
-  prop_nn_chain_matches_naive Agglomerative.Group_average
-    "nn-chain = naive merge heights (group-average)"
-
-let prop_nn_chain_single =
-  prop_nn_chain_matches_naive Agglomerative.Single
-    "nn-chain = naive merge heights (single)"
-
-let prop_nn_chain_complete =
-  prop_nn_chain_matches_naive Agglomerative.Complete
-    "nn-chain = naive merge heights (complete)"
-
 (* --- Kmedoids --- *)
 
 let two_blob_matrix () =
@@ -357,7 +309,7 @@ let prop_run_flat_clusters_partition =
         List.sort compare (List.concat flat) = List.init n Fun.id
       in
       covers (Cluster.Agglomerative Agglomerative.Group_average) 0.4
-      && covers (Cluster.Nn_chain Agglomerative.Complete) infinity
+      && covers (Cluster.Agglomerative Agglomerative.Complete) infinity
       && covers (Cluster.Kmedoids { k = 1 + (seed mod 4); seed }) infinity
       && covers (Cluster.Dbscan { eps = 0.3; min_points = 2 }) infinity)
 
@@ -378,7 +330,7 @@ let test_run_empty_and_names () =
   Alcotest.(check string) "default name" "agglomerative-group-average"
     (Cluster.name Cluster.default);
   Alcotest.(check bool) "hierarchical split" true
-    (Cluster.is_hierarchical (Cluster.Nn_chain Agglomerative.Single)
+    (Cluster.is_hierarchical (Cluster.Agglomerative Agglomerative.Single)
     && not (Cluster.is_hierarchical (Cluster.Dbscan { eps = 1.; min_points = 2 })))
 
 let test_run_dbscan_noise_singletons () =
@@ -420,14 +372,6 @@ let suite =
         qtest prop_merge_count;
         qtest prop_group_average_monotone;
         qtest prop_single_below_complete;
-      ] );
-    ( "cluster.nn_chain",
-      [
-        Alcotest.test_case "hand case" `Quick test_nn_chain_hand_case;
-        Alcotest.test_case "edge cases" `Quick test_nn_chain_edge_cases;
-        qtest prop_nn_chain_average;
-        qtest prop_nn_chain_single;
-        qtest prop_nn_chain_complete;
       ] );
     ( "cluster.kmedoids",
       [

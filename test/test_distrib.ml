@@ -224,27 +224,61 @@ let post target body =
 
 let header r name = Http.Headers.get r.Http.Response.headers name
 
+let reopen ~dir =
+  match Authority.open_ ~dir () with
+  | Ok (t, rep) -> (t, rep)
+  | Error e -> Alcotest.fail e
+
+(* One status table, two servers: the authority and a relay synced to it
+   answer every protocol request with the same status, the same
+   [X-Signature-*] and [Allow] headers and the same body. *)
+let protocol_table =
+  [ ("unknown path", get "/nope", 404);
+    ("POST on /signatures", post "/signatures?tenant=t0" "", 405);
+    ("GET on /candidates", get "/candidates?tenant=t0&reporter=r", 405);
+    ("missing tenant", get "/signatures", 400);
+    ("bad tenant id", get "/signatures?tenant=bad%20id", 400);
+    ("unparseable since", get "/signatures?tenant=t0&since=banana", 400);
+    ("negative since", get "/signatures?tenant=t0&since=-1", 400);
+    ("zero digest interval", get "/digest?tenant=t0&interval=0", 400);
+    ("304 at head", get "/signatures?tenant=t0&since=2", 304);
+    ("delta at head - 1", get "/signatures?tenant=t0&since=1", 200);
+    ("full=1", get "/signatures?tenant=t0&since=1&full=1", 200);
+    ("digest", get "/digest?tenant=t0&since=0&interval=1", 200) ]
+
+let protocol_view (r : Http.Response.t) =
+  ( r.Http.Response.status,
+    List.filter
+      (fun (name, _) ->
+        name = "Allow"
+        || String.length name > 12 && String.sub name 0 12 = "X-Signature-")
+      (Http.Headers.to_list r.Http.Response.headers),
+    r.Http.Response.body )
+
 let test_authority_http_statuses () =
   let auth = Authority.create () in
   let (_ : int) = Authority.publish auth ~tenant:"t0" [ s1; s2 ] in
+  let relay = Relay.create ~id:"r0" ~tenants:[ "t0" ] () in
+  ignore (Relay.sync_tenant relay ~tenant:"t0" ~transport:(Authority.wire_transport auth));
+  let view = Alcotest.(triple int (list (pair string string)) string) in
+  List.iter
+    (fun (name, request, status) ->
+      let a = protocol_view (Authority.handle auth request) in
+      let (got, _, _) = a in
+      Alcotest.(check int) (name ^ ": status") status got;
+      Alcotest.check view (name ^ ": relay answers alike") a
+        (protocol_view (Relay.handle relay request)))
+    protocol_table;
   let check_status msg expected request =
     Alcotest.(check int) msg expected
       (Authority.handle auth request).Http.Response.status
   in
-  check_status "unknown path" 404 (get "/nope");
-  check_status "POST on /signatures" 405 (post "/signatures?tenant=t0" "");
   Alcotest.(check (option string)) "405 names the allowed method" (Some "GET")
     (header (Authority.handle auth (post "/signatures?tenant=t0" "")) "Allow");
-  check_status "GET on /candidates" 405 (get "/candidates?tenant=t0&reporter=r");
-  check_status "missing tenant" 400 (get "/signatures");
-  check_status "bad tenant id" 400 (get "/signatures?tenant=bad%20id");
-  check_status "unparseable since" 400 (get "/signatures?tenant=t0&since=banana");
-  check_status "negative since" 400 (get "/signatures?tenant=t0&since=-1");
   check_status "bad reporter id" 400 (post "/candidates?tenant=t0&reporter=a%20b" "x");
   check_status "empty candidate body" 400 (post "/candidates?tenant=t0&reporter=r" "");
   (* 304 carries version and checksum headers. *)
   let r = Authority.handle auth (get "/signatures?tenant=t0&since=2") in
-  Alcotest.(check int) "up-to-date is 304" 304 r.Http.Response.status;
   Alcotest.(check (option string)) "304 version header" (Some "2")
     (header r "X-Signature-Version");
   Alcotest.(check (option string)) "304 checksum header"
@@ -252,7 +286,6 @@ let test_authority_http_statuses () =
     (header r "X-Signature-Checksum");
   (* Delta mode for a servable suffix. *)
   let r = Authority.handle auth (get "/signatures?tenant=t0&since=1") in
-  Alcotest.(check int) "delta is 200" 200 r.Http.Response.status;
   Alcotest.(check (option string)) "delta mode" (Some "delta")
     (header r "X-Signature-Mode");
   Alcotest.(check (option string)) "since echoed" (Some "1")
@@ -260,15 +293,42 @@ let test_authority_http_statuses () =
   Alcotest.(check string) "delta body is the suffix"
     (Changelog.entry_to_line { Changelog.version = 2; change = Changelog.Add s2 })
     r.Http.Response.body;
-  (* Snapshot when forced, and for an unknown (empty) tenant. *)
   let r = Authority.handle auth (get "/signatures?tenant=t0&since=1&full=1") in
   Alcotest.(check (option string)) "full=1 forces snapshot" (Some "snapshot")
     (header r "X-Signature-Mode");
   Alcotest.(check string) "snapshot body" (lines [ s1; s2 ]) r.Http.Response.body;
+  (* An unknown tenant: the authority serves it empty, the relay does not
+     carry it. *)
   let r = Authority.handle auth (get "/signatures?tenant=ghost&full=1") in
   Alcotest.(check int) "unknown tenant serves empty snapshot" 200
     r.Http.Response.status;
-  Alcotest.(check string) "empty body" "" r.Http.Response.body
+  Alcotest.(check string) "empty body" "" r.Http.Response.body;
+  Alcotest.(check int) "relay 404s a tenant it does not carry" 404
+    (Relay.handle relay (get "/signatures?tenant=ghost&full=1")).Http.Response.status;
+  (* Reads never create a tenant, in memory or on disk. *)
+  let ghost_reads auth =
+    for i = 0 to 9 do
+      List.iter
+        (fun path ->
+          ignore
+            (Authority.handle auth
+               (get (Printf.sprintf "%s?tenant=ghost%d" path i))))
+        [ "/signatures"; "/digest" ]
+    done
+  in
+  ghost_reads auth;
+  Alcotest.(check (list string)) "ghost reads leave no tenant" [ "t0" ]
+    (Authority.tenants auth);
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+      ghost_reads auth;
+      Authority.compact auth;
+      Authority.close auth;
+      let auth, _ = reopen ~dir in
+      Alcotest.(check (list string)) "no ghost survives compact + reopen"
+        [ "t0" ] (Authority.tenants auth);
+      Authority.close auth)
 
 let test_authority_snapshot_below_horizon () =
   let auth = Authority.create ~config:{ Authority.default_config with compact_keep = 1 } () in
@@ -377,11 +437,6 @@ let publish_sets auth =
   ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
   ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
   ignore (Authority.publish auth ~tenant:"t1" [ s3 ])
-
-let reopen ~dir =
-  match Authority.open_ ~dir () with
-  | Ok (t, rep) -> (t, rep)
-  | Error e -> Alcotest.fail e
 
 let test_authority_reopen () =
   with_dir (fun dir ->
