@@ -155,17 +155,15 @@ let bench_matrix () =
             let speedup = !seq_seconds /. seconds in
             let st = Compressor.Cache.stats (Distance.ncd_cache dist) in
             Printf.printf
-              "  N=%-4d jobs=%d  %7.3fs  speedup %4.2fx  (singleton %d hit / %d miss, pair %d hit / %d miss, frozen %d)\n%!"
+              "  N=%-4d jobs=%d  %7.3fs  speedup %4.2fx  (singleton %d hit / %d miss, %d unfrozen pair C(xy), frozen %d)\n%!"
               n jobs seconds speedup st.Compressor.Cache.hits st.Compressor.Cache.misses
-              st.Compressor.Cache.pair_hits st.Compressor.Cache.pair_misses
-              st.Compressor.Cache.frozen_misses;
+              st.Compressor.Cache.pair_misses st.Compressor.Cache.frozen_misses;
             Json.Obj
               [ ("jobs", Json.Int jobs); ("seconds", Json.Float seconds);
                 ("speedup_vs_jobs1", Json.Float speedup);
                 ("cache_hits", Json.Int st.Compressor.Cache.hits);
                 ("cache_misses", Json.Int st.Compressor.Cache.misses);
-                ("pair_hits", Json.Int st.Compressor.Cache.pair_hits);
-                ("pair_misses", Json.Int st.Compressor.Cache.pair_misses);
+                ("pair_computations", Json.Int st.Compressor.Cache.pair_misses);
                 ("frozen_misses", Json.Int st.Compressor.Cache.frozen_misses) ])
           job_counts
       in

@@ -105,13 +105,11 @@ let normalize_t =
 
 let normalize_of ?obs flag = if flag then Some (Normalize.create ?obs ()) else None
 
+(* An unreadable path sniffs as text; the loader then reports it. *)
 let sniff_binary path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try really_input_string ic 4 = Leakdetect_http.Trace_binary.magic
-      with End_of_file -> false)
+  Leakdetect_http.Trace.with_input ~binary:true path (fun ic ->
+      Ok (try really_input_string ic 4 = Leakdetect_http.Trace_binary.magic with End_of_file -> false))
+  = Ok true
 
 let load_records ~trace ~seed ~scale =
   match trace with

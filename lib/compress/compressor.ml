@@ -39,45 +39,20 @@ module Cache = struct
   type t = {
     algo : algorithm;
     table : (string, int) Hashtbl.t;
-    pair_table : (string * string, int) Hashtbl.t;
-    pair_capacity : int;
-    parent : t option;  (* frozen cache consulted read-only on local misses *)
     mutable frozen : bool;
     mutable hits : int;
     mutable misses : int;
-    mutable pair_hits : int;
     mutable pair_misses : int;
     frozen_misses : int Atomic.t;  (* the only counter touched while frozen *)
   }
 
-  let create ?(pair_capacity = 16384) algo =
-    if pair_capacity < 0 then invalid_arg "Compressor.Cache.create: negative capacity";
+  let create algo =
     {
       algo;
       table = Hashtbl.create 1024;
-      pair_table = Hashtbl.create 1024;
-      pair_capacity;
-      parent = None;
       frozen = false;
       hits = 0;
       misses = 0;
-      pair_hits = 0;
-      pair_misses = 0;
-      frozen_misses = Atomic.make 0;
-    }
-
-  let shadow parent =
-    if not parent.frozen then invalid_arg "Compressor.Cache.shadow: parent must be frozen";
-    {
-      algo = parent.algo;
-      table = Hashtbl.create 64;
-      pair_table = Hashtbl.create 1024;
-      pair_capacity = parent.pair_capacity;
-      parent = Some parent;
-      frozen = false;
-      hits = 0;
-      misses = 0;
-      pair_hits = 0;
       pair_misses = 0;
       frozen_misses = Atomic.make 0;
     }
@@ -87,64 +62,35 @@ module Cache = struct
   let thaw t = t.frozen <- false
   let frozen t = t.frozen
 
-  let parent_find t table_of key =
-    match t.parent with
-    | Some p -> Hashtbl.find_opt (table_of p) key
-    | None -> None
-
   let length_bits t s =
     match Hashtbl.find_opt t.table s with
     | Some v ->
       if not t.frozen then t.hits <- t.hits + 1;
       v
-    | None -> (
-      match parent_find t (fun p -> p.table) s with
-      | Some v ->
-        t.hits <- t.hits + 1;
-        v
-      | None when t.frozen ->
-        (* Read-only mode: degrade to a direct computation rather than
-           mutating a table other domains are reading. *)
-        Atomic.incr t.frozen_misses;
-        algo_length_bits t.algo s
-      | None ->
-        t.misses <- t.misses + 1;
-        let v = algo_length_bits t.algo s in
-        Hashtbl.add t.table s v;
-        v)
+    | None when t.frozen ->
+      (* Read-only mode: degrade to a direct computation rather than
+         mutating a table other domains are reading. *)
+      Atomic.incr t.frozen_misses;
+      algo_length_bits t.algo s
+    | None ->
+      t.misses <- t.misses + 1;
+      let v = algo_length_bits t.algo s in
+      Hashtbl.add t.table s v;
+      v
 
   let preload t s v =
     if t.frozen then invalid_arg "Compressor.Cache.preload: cache is frozen";
     if not (Hashtbl.mem t.table s) then Hashtbl.add t.table s v
 
   (* C(xy) and C(yx) differ slightly; canonical ordering keeps the distance
-     exactly symmetric and lets repeated pairs share one cache slot. *)
-  let pair_length_bits t x y =
-    let key = (x, y) in
-    match Hashtbl.find_opt t.pair_table key with
-    | Some v ->
-      if not t.frozen then t.pair_hits <- t.pair_hits + 1;
-      v
-    | None -> (
-      match parent_find t (fun p -> p.pair_table) key with
-      | Some v ->
-        t.pair_hits <- t.pair_hits + 1;
-        v
-      | None when t.frozen ->
-        Atomic.incr t.frozen_misses;
-        algo_length_bits t.algo (x ^ y)
-      | None ->
-        t.pair_misses <- t.pair_misses + 1;
-        let v = algo_length_bits t.algo (x ^ y) in
-        if Hashtbl.length t.pair_table < t.pair_capacity then Hashtbl.add t.pair_table key v;
-        v)
-
+     exactly symmetric. *)
   let ncd t x y =
     if String.length x = 0 && String.length y = 0 then 0.
     else begin
       let cx = length_bits t x and cy = length_bits t y in
       let x, y = if String.compare x y <= 0 then (x, y) else (y, x) in
-      let cxy = pair_length_bits t x y in
+      if not t.frozen then t.pair_misses <- t.pair_misses + 1;
+      let cxy = algo_length_bits t.algo (x ^ y) in
       let lo = min cx cy and hi = max cx cy in
       let d = float_of_int (cxy - lo) /. float_of_int hi in
       Float.min 1. (Float.max 0. d)
@@ -154,11 +100,10 @@ module Cache = struct
     {
       hits = t.hits;
       misses = t.misses;
-      pair_hits = t.pair_hits;
+      pair_hits = 0;
       pair_misses = t.pair_misses;
       frozen_misses = Atomic.get t.frozen_misses;
     }
 
   let size t = Hashtbl.length t.table
-  let pair_size t = Hashtbl.length t.pair_table
 end

@@ -20,42 +20,31 @@ val length_bits : algorithm -> string -> int
     would quantize the distance visibly. *)
 
 module Cache : sig
-  (** Memoizes [C(x)] per input string and [C(xy)] per canonical pair.  The
-      clustering stage evaluates C(x), C(y) and C(xy) for every pair in an
-      NxN matrix; caching the singleton lengths removes half the work, and
-      the bounded pair cache removes the rest for repeated pairs (packet
-      fields repeat heavily — empty cookies, boilerplate request lines).
+  (** Memoizes [C(x)] per input string.  The clustering stage evaluates
+      C(x), C(y) and C(xy) for every pair in an NxN matrix; caching the
+      singleton lengths removes two of the three compressions per pair.
+      [C(xy)] is computed on every call: at a few microseconds per
+      compression a pair table costs about as much as it saves.
 
       {b Freezing.}  A plain [Hashtbl] is not safe for concurrent mutation,
       so the parallel distance matrix uses a two-phase protocol: warm the
       cache sequentially (or via {!preload}), call {!freeze}, then share
-      the cache read-only across domains.  While frozen, lookups that miss
-      degrade to a direct computation — nothing is inserted — and are
-      counted in [stats.frozen_misses]; {!preload} raises.  {!thaw}
-      restores normal single-domain caching. *)
+      the cache read-only across domains.  While frozen, singleton lookups
+      that miss degrade to a direct computation — nothing is inserted —
+      and are counted in [stats.frozen_misses]; {!preload} raises.
+      {!thaw} restores normal single-domain caching. *)
 
   type t
 
   type stats = {
     hits : int;  (** singleton-length cache hits *)
     misses : int;  (** singleton-length computations that were cached *)
-    pair_hits : int;  (** pair-length [C(xy)] cache hits *)
-    pair_misses : int;  (** pair-length computations *)
-    frozen_misses : int;  (** uncached computations while frozen *)
+    pair_hits : int;  (** always 0: pair lengths are not cached *)
+    pair_misses : int;  (** pair-length [C(xy)] computations while unfrozen *)
+    frozen_misses : int;  (** uncached singleton computations while frozen *)
   }
 
-  val create : ?pair_capacity:int -> algorithm -> t
-  (** [pair_capacity] bounds the pair-level cache (default 16384 entries);
-      once full, further pairs compute without being stored. *)
-
-  val shadow : t -> t
-  (** [shadow frozen] is a fresh, unfrozen cache whose misses fall back to
-      reading [frozen]'s tables before computing.  Each domain in a
-      parallel loop gets its own shadow: singleton lookups hit the shared
-      prewarmed table, while pair results are cached privately — restoring
-      pair-level dedup that freezing alone would forfeit.  The shadow never
-      writes to its parent.
-      @raise Invalid_argument if the parent is not frozen. *)
+  val create : algorithm -> t
 
   val algorithm : t -> algorithm
   val length_bits : t -> string -> int
@@ -66,7 +55,7 @@ module Cache : sig
       @raise Invalid_argument when the cache is frozen. *)
 
   val freeze : t -> unit
-  (** Seal both tables read-only so the cache can be shared across
+  (** Seal the table read-only so the cache can be shared across
       domains.  Idempotent. *)
 
   val thaw : t -> unit
@@ -80,12 +69,9 @@ module Cache : sig
 
   val stats : t -> stats
   (** Counter snapshot — exposed for tests and the benchmark report.
-      Hit/miss counters other than [frozen_misses] are only maintained
-      while unfrozen (they would be data races otherwise). *)
+      Counters other than [frozen_misses] are only maintained while
+      unfrozen (they would be data races otherwise). *)
 
   val size : t -> int
   (** Singleton entries currently cached. *)
-
-  val pair_size : t -> int
-  (** Pair entries currently cached (bounded by [pair_capacity]). *)
 end

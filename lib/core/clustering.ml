@@ -109,8 +109,8 @@ let run_sketch ?pool ~obs algorithm params dist sample =
       bucket_obs obs ~buckets:nb ~sizes ~exact_pairs ~total_pairs;
       let outputs = Array.make nb Cluster.Empty in
       (* Fan whole buckets out across domains: caches are frozen once over
-         the full sample, each domain works through its buckets with a
-         private shadow overlay, and every bucket's matrix build stays
+         the full sample, each domain works through its buckets with the
+         context [init] hands it, and every bucket's matrix build stays
          sequential (pools must not nest).  Slot [bi] is owned by bucket
          [bi], so the result is identical at any pool size. *)
       Distance.with_frozen ?pool dist sample (fun ~init ->

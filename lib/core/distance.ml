@@ -127,13 +127,13 @@ module Obs = Leakdetect_obs.Obs
 (* Freeze-window combinator shared by the full matrix build and the
    sketch-bucketed driver: prewarm every per-string quantity, freeze both
    caches, hand the body a per-domain context factory, thaw on the way out.
-   When the caller arrives with already-frozen caches (a warm context
-   reused across runs), every singleton — and any pair the previous runs
-   populated — is served read-only from the shared tables, so layering a
-   fresh shadow per domain would only add a probe of empty tables to every
-   lookup.  Shadows are built just for this call's own freeze, where they
-   restore the pair-level C(xy) dedup the sealed tables cannot absorb.
-   Either way the values are identical: caching only skips recomputation. *)
+   Every domain reads the one frozen singleton NCD cache directly (C(xy) is
+   never cached, so there is nothing per-domain to keep).  The trigram
+   cache still gets a private shadow per domain when this call did the
+   freezing; when the caller arrives with already-frozen caches (a warm
+   context reused across runs) every lookup is served read-only from the
+   shared tables and the context is handed out as is.  Either way the
+   values are identical: caching only skips recomputation. *)
 let with_frozen ?pool t packets f =
   let was_frozen = Compressor.Cache.frozen t.cache in
   if not was_frozen then prewarm ~pool t packets;
@@ -148,9 +148,7 @@ let with_frozen ?pool t packets f =
         if was_frozen then fun () -> t
         else
           fun () ->
-            { t with
-              cache = Compressor.Cache.shadow t.cache;
-              trigram_cache = Leakdetect_text.Trigram.Cache.shadow t.trigram_cache }
+            { t with trigram_cache = Leakdetect_text.Trigram.Cache.shadow t.trigram_cache }
       in
       f ~init)
 

@@ -105,10 +105,12 @@ val with_frozen :
     window that makes this context safe to share across domains: every
     per-string compressed length (or trigram profile) over [packets] is
     computed in a sealed prewarm pass, both caches are frozen, and [f]
-    receives an [init] factory producing per-domain contexts (shadow
-    overlays over the frozen tables, or [t] itself when the caches were
-    already frozen by an enclosing call).  Caches are thawed when [f]
-    returns or raises.  [Distance.matrix] uses this internally; the
+    receives an [init] factory producing per-domain contexts.  Every
+    context reads the one frozen NCD singleton cache directly; the trigram
+    cache gets a private shadow overlay per domain, unless the caches were
+    already frozen by an enclosing call, in which case [init] returns [t]
+    itself.  Caches are thawed when [f] returns or raises.
+    [Distance.matrix] uses this internally; the
     sketch-bucketed clustering driver uses it to fan whole buckets out
     across domains while building each bucket's matrix sequentially. *)
 

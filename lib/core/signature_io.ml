@@ -86,10 +86,7 @@ let load ?config ?on_error path =
     | None, Some config -> config.Pipeline_config.on_error
     | None, None -> `Fail
   in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+  Trace.with_input path (fun ic ->
       let rec loop lineno acc skips =
         match input_line ic with
         | exception End_of_file -> Ok (List.rev acc, skips)

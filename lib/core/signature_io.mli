@@ -25,7 +25,8 @@ val load :
 (** Reads a signature file.  Like the trace readers, [`Fail] reports the
     first malformed line with its line number; [`Skip] salvages every
     parseable signature and counts the skipped lines, keeping a sample of
-    the offending line numbers and errors.
+    the offending line numbers and errors.  A missing or unreadable file
+    is an [Error] naming it.
 
     The policy comes from [?on_error] when given, else from
     [?config.on_error], else [`Fail]; the explicit argument survives as a

@@ -78,6 +78,7 @@ type t = {
   mutable set : Signature.t list;  (* current, id-ascending *)
   mutable next_id : int;
   sums : (int, int) Hashtbl.t;  (* version -> canonical-set CRC *)
+  mutable head_wire : int option;  (* wire_checksum of the head, once asked *)
 }
 
 let create () =
@@ -91,13 +92,25 @@ let create () =
     set = [];
     next_id = 0;
     sums;
+    head_wire = None;
   }
 
 let version t = t.version
 let horizon t = t.base_version
 let next_id t = t.next_id
 let current t = t.set
-let current_checksum t = checksum_set t.set
+(* [sums] always holds the head: every path that moves [version] records it,
+   and compaction only drops versions below the horizon. *)
+let current_checksum t = Hashtbl.find t.sums t.version
+
+let head_wire_checksum t =
+  match t.head_wire with
+  | Some sum -> sum
+  | None ->
+    let sum = wire_checksum ~version:t.version t.set in
+    t.head_wire <- Some sum;
+    sum
+
 let checksum_at t v = Hashtbl.find_opt t.sums v
 let entries t = List.rev t.rev_entries
 let base t = t.base
@@ -109,6 +122,7 @@ let note_id t = function
 let append t change =
   t.version <- t.version + 1;
   t.set <- apply_change t.set change;
+  t.head_wire <- None;
   note_id t change;
   let entry = { version = t.version; change } in
   t.rev_entries <- entry :: t.rev_entries;
@@ -124,6 +138,7 @@ let restore ~base_version ~base ~next_id ~entries =
     t.base <- List.sort (fun a b -> compare a.Signature.id b.Signature.id) base;
     t.version <- base_version;
     t.set <- t.base;
+    t.head_wire <- None;
     t.next_id <- next_id;
     List.iter (fun s -> note_id t (Add s)) t.base;
     Hashtbl.reset t.sums;

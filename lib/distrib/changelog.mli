@@ -74,6 +74,11 @@ val current : t -> Signature.t list
 (** The live set, id-ascending. *)
 
 val current_checksum : t -> int
+(** {!checksum_set} of {!current}, read from the per-version table. *)
+
+val head_wire_checksum : t -> int
+(** {!wire_checksum} of {!current} at {!version}, computed at most once
+    per version (an up-to-date poll answers in O(1)). *)
 
 val checksum_at : t -> int -> int option
 (** Canonical-set CRC at an exact version; [None] below the horizon (or

@@ -116,8 +116,7 @@ let candidate_ids request =
 let version_headers log =
   let version = Changelog.version log in
   [ (version_header, string_of_int version);
-    ( checksum_header,
-      Crc32.to_hex (Changelog.wire_checksum ~version (Changelog.current log)) ) ]
+    (checksum_header, Crc32.to_hex (Changelog.head_wire_checksum log)) ]
 
 type mode = Not_modified | Delta | Snapshot
 

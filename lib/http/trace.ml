@@ -106,11 +106,15 @@ let save path records =
           output_char oc '\n')
         records)
 
+let with_input ?(binary = false) path f =
+  match (if binary then open_in_bin else open_in) path with
+  | exception Sys_error e -> Error e
+  | ic -> (
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    try f ic with Sys_error e -> Error (path ^ ": " ^ e))
+
 let fold ?(on_error = `Fail) path ~init ~f =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+  with_input path (fun ic ->
       let rec loop lineno acc skips =
         match input_line ic with
         | exception End_of_file -> Ok (acc, skips)

@@ -46,9 +46,17 @@ val record_of_line : string -> (record, string) result
 val save : string -> record list -> unit
 (** Writes a trace file (overwrites). *)
 
+val with_input :
+  ?binary:bool -> string -> (in_channel -> ('a, string) result) -> ('a, string) result
+(** [with_input path f] opens [path] (text mode unless [binary]), runs [f]
+    and closes the channel.  A file that cannot be opened or read is an
+    [Error] carrying the system message (which names the file), never a
+    [Sys_error]. *)
+
 val load : ?on_error:on_error -> string -> (record list * skipped, string) result
 (** Reads a trace file.  [`Fail] reports the first malformed line with its
-    number (and {!no_skips}); [`Skip] returns every parseable record. *)
+    number (and {!no_skips}); [`Skip] returns every parseable record.  A
+    missing or unreadable file is an [Error]. *)
 
 val fold :
   ?on_error:on_error -> string -> init:'a -> f:('a -> record -> 'a) -> ('a * skipped, string) result

@@ -1,3 +1,8 @@
+(* Int-typed: the polymorphic [Stdlib.min] compiles to a [caml_compare]
+   call per DP cell. *)
+let min (a : int) b = if a < b then a else b
+let max (a : int) b = if a > b then a else b
+
 let distance a b =
   (* Keep the shorter string as the row to bound memory. *)
   let a, b = if String.length a <= String.length b then (a, b) else (b, a) in

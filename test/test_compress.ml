@@ -131,6 +131,72 @@ let prop_length_bits_consistent =
           bytes = (bits + 7) / 8)
         Compressor.all)
 
+(* --- LZ77 length path ---
+   [compressed_length_bits] counts the same greedy parse [compress] emits,
+   on match-finder scratch reused per domain.  Inputs: random bytes,
+   low-entropy strings (alphabet of 1-4 letters, which drive max-match
+   runs and long chains, sometimes past the 32 KiB window) and HTTP fields
+   from a generated trace, alone or concatenated as NCD's C(xy) sees them. *)
+
+let trace_fields =
+  lazy
+    (Leakdetect_android.Workload.generate ~seed:3 ~scale:0.01 ()
+    |> Leakdetect_android.Workload.packets
+    |> Array.to_list
+    |> List.concat_map (fun (p : Leakdetect_http.Packet.t) ->
+           let c = p.Leakdetect_http.Packet.content in
+           Leakdetect_http.Packet.[ c.request_line; c.cookie; c.body ])
+    |> Array.of_list)
+
+let lz77_input_gen =
+  let open QCheck.Gen in
+  let low_entropy max_len =
+    int_range 1 4 >>= fun k ->
+    string_size ~gen:(map (fun i -> Char.chr (97 + i)) (int_bound (k - 1))) (0 -- max_len)
+  in
+  let field = map (fun i -> let f = Lazy.force trace_fields in f.(i mod Array.length f)) nat in
+  frequency
+    [ (3, binary_gen);
+      (3, low_entropy 2000);
+      (1, low_entropy 70_000);
+      (1, map2 (fun n c -> String.make n c) (int_range 250 1100) printable);
+      (3, field);
+      (3, map2 ( ^ ) field field) ]
+
+let lz77_input = QCheck.make ~print:(fun s -> Printf.sprintf "%d bytes" (String.length s)) lz77_input_gen
+
+let prop_lz77_length_matches_bytes =
+  QCheck.Test.make ~name:"lz77 length = compressed bytes" ~count:300 lz77_input (fun s ->
+      (Lz77.compressed_length_bits s + 7) / 8 = String.length (Lz77.compress s))
+
+let prop_lz77_roundtrip_mixed =
+  roundtrip_prop "lz77 round-trip (mixed inputs)" Compressor.Lz77 lz77_input_gen
+
+(* A fresh domain starts from fresh scratch, so any dependence on what this
+   domain compressed before (stale head entries, a [prev] buffer grown by a
+   longer input) would show as a difference. *)
+let prop_lz77_scratch_reuse =
+  QCheck.Test.make ~name:"lz77 lengths independent of call history" ~count:40
+    (QCheck.make
+       ~print:(fun l -> String.concat "," (List.map (fun s -> string_of_int (String.length s)) l))
+       QCheck.Gen.(list_size (2 -- 8) lz77_input_gen))
+    (fun inputs ->
+      let reused = List.map Lz77.compressed_length_bits inputs in
+      let fresh =
+        Domain.join (Domain.spawn (fun () -> List.map Lz77.compressed_length_bits (List.rev inputs)))
+      in
+      reused = List.rev fresh)
+
+let prop_lz77_parallel_map =
+  QCheck.Test.make ~name:"lz77 lengths at 2 domains = sequential" ~count:10
+    (QCheck.make QCheck.Gen.(array_size (8 -- 40) lz77_input_gen))
+    (fun inputs ->
+      let seq = Array.map (Compressor.length_bits Compressor.Lz77) inputs in
+      Leakdetect_parallel.Pool.with_pool 2 (fun pool ->
+          Leakdetect_parallel.Pool.parallel_map_array ~pool ~chunk:1
+            (Compressor.length_bits Compressor.Lz77) inputs)
+      = seq)
+
 let test_corrupt_stream () =
   (* Truncation must raise, not loop or return garbage silently. *)
   let c = Lz77.compress "hello hello hello hello" in
@@ -195,29 +261,18 @@ let test_cache_stats () =
   Alcotest.(check int) "hits" 1 st.Compressor.Cache.hits;
   Alcotest.(check int) "misses" 2 st.Compressor.Cache.misses
 
-let test_pair_cache_stats () =
+let test_pair_counters () =
+  (* C(xy) is computed on every call (no pair table); [pair_misses] counts
+     those computations and [pair_hits] stays 0. *)
   let cache = Compressor.Cache.create Compressor.Lz77 in
   let x = "GET /ad/sdk?imei=355021930123456" and y = "POST /track HTTP/1.1" in
-  ignore (Compressor.Cache.ncd cache x y);
-  ignore (Compressor.Cache.ncd cache y x);
-  (* order-insensitive: same canonical pair *)
-  ignore (Compressor.Cache.ncd cache x y);
+  let d = Compressor.Cache.ncd cache x y in
+  Alcotest.(check (float 0.)) "order-insensitive" d (Compressor.Cache.ncd cache y x);
+  ignore (Compressor.Cache.ncd cache "" "");
   let st = Compressor.Cache.stats cache in
-  Alcotest.(check int) "pair misses" 1 st.Compressor.Cache.pair_misses;
-  Alcotest.(check int) "pair hits" 2 st.Compressor.Cache.pair_hits;
-  Alcotest.(check int) "pair entries" 1 (Compressor.Cache.pair_size cache)
-
-let test_pair_cache_bounded () =
-  let cache = Compressor.Cache.create ~pair_capacity:2 Compressor.Lz77 in
-  let s i = Printf.sprintf "payload-%d-%s" i (String.make 10 'x') in
-  for i = 0 to 5 do
-    ignore (Compressor.Cache.ncd cache (s i) (s (i + 100)))
-  done;
-  Alcotest.(check int) "capacity respected" 2 (Compressor.Cache.pair_size cache);
-  (* Uncached pairs still produce correct, identical distances. *)
-  let d1 = Compressor.Cache.ncd cache (s 5) (s 105) in
-  let d2 = Compressor.Cache.ncd cache (s 5) (s 105) in
-  Alcotest.(check (float 0.)) "identical without caching" d1 d2
+  Alcotest.(check int) "pair computations" 2 st.Compressor.Cache.pair_misses;
+  Alcotest.(check int) "pair hits" 0 st.Compressor.Cache.pair_hits;
+  Alcotest.(check int) "singletons cached" 2 (Compressor.Cache.size cache)
 
 let test_compressor_names () =
   List.iter
@@ -254,13 +309,19 @@ let suite =
         qtest prop_huffman_binary;
         qtest prop_length_bits_consistent;
       ] );
+    ( "compress.lz77",
+      [
+        qtest prop_lz77_length_matches_bytes;
+        qtest prop_lz77_roundtrip_mixed;
+        qtest prop_lz77_scratch_reuse;
+        qtest prop_lz77_parallel_map;
+      ] );
     ( "compress.ncd",
       [
         Alcotest.test_case "range and identity" `Quick test_ncd_range_and_identity;
         Alcotest.test_case "discrimination" `Quick test_ncd_discrimination;
         Alcotest.test_case "cache stats" `Quick test_cache_stats;
-        Alcotest.test_case "pair cache stats" `Quick test_pair_cache_stats;
-        Alcotest.test_case "pair cache bounded" `Quick test_pair_cache_bounded;
+        Alcotest.test_case "pair counters" `Quick test_pair_counters;
         Alcotest.test_case "algorithm names" `Quick test_compressor_names;
         qtest prop_ncd_bounds;
       ] );

@@ -152,6 +152,44 @@ let test_changelog_restore_rejects_gaps () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a version gap must not restore"
 
+(* The cached head checksums never go stale: after every append, compact
+   or restore, the memoized wire checksum and [current_checksum] equal a
+   from-scratch computation over [current]. *)
+let prop_cached_head_checksums =
+  let gen =
+    QCheck.make
+      ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+      QCheck.Gen.(
+        list_size (1 -- 30)
+          (pair (int_range 0 3) (pair (int_range 1 8) (int_range 0 999))))
+  in
+  QCheck.Test.make ~name:"cached head checksums equal a recomputation" ~count:200 gen
+    (fun ops ->
+      let log = ref (Changelog.create ()) in
+      let fresh () =
+        let cur = Changelog.current !log and version = Changelog.version !log in
+        Changelog.head_wire_checksum !log = Changelog.wire_checksum ~version cur
+        && Changelog.current_checksum !log = Changelog.checksum_set cur
+      in
+      fresh ()
+      && List.for_all
+           (fun (kind, (id, tok)) ->
+             (match kind with
+             | 0 -> ignore (Changelog.append !log (Changelog.Add (sig_ id [ Printf.sprintf "t%d" tok ])))
+             | 1 -> ignore (Changelog.append !log (Changelog.Retire id))
+             | 2 -> Changelog.compact !log ~keep:(tok mod 4)
+             | _ -> (
+               match
+                 Changelog.restore ~base_version:(Changelog.horizon !log)
+                   ~base:(Changelog.base !log) ~next_id:(Changelog.next_id !log)
+                   ~entries:(Changelog.entries !log)
+               with
+               | Ok restored -> log := restored
+               | Error e -> failwith e));
+             (* Ask twice: the second answer comes from the cache. *)
+             fresh () && fresh ())
+           ops)
+
 (* Any interleaving of adds/retires, compacted anywhere: the delta served
    from every servable [since] lands exactly on the full set. *)
 let prop_delta_equals_snapshot =
@@ -1811,7 +1849,8 @@ let suite =
           test_changelog_compact_keep_zero;
         Alcotest.test_case "ranged digest" `Quick test_changelog_digest;
         qtest prop_delta_equals_snapshot;
-        qtest prop_compact_since_boundary ] );
+        qtest prop_compact_since_boundary;
+        qtest prop_cached_head_checksums ] );
     ( "distrib.shard_map",
       [ Alcotest.test_case "validation + stability" `Quick test_shard_map_basics;
         Alcotest.test_case "line codec" `Quick test_shard_map_codec;

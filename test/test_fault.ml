@@ -285,6 +285,27 @@ let test_trace_skip_mode () =
         Alcotest.(check (list int)) "skipped line numbers" [ 2; 4 ]
           (List.map fst skips.Trace.sample))
 
+(* The loaders behind [leakdetect detect/sign/stats --trace] and
+   [--signatures]: a missing file or a directory is an [Error] naming the
+   path, never a [Sys_error]. *)
+let test_loaders_missing_file () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "ld-no-such-file.tsv" in
+  let dir = Filename.get_temp_dir_name () in
+  let named path what = function
+    | Ok _ -> Alcotest.failf "%s on %s: expected Error" what path
+    | Error e ->
+      Alcotest.(check bool) (what ^ " error names the file") true
+        (Leakdetect_text.Search.contains ~needle:path e)
+  in
+  List.iter
+    (fun path ->
+      named path "Trace.load" (Trace.load path);
+      named path "Trace.load skip" (Trace.load ~on_error:`Skip path);
+      named path "Trace.iter" (Trace.iter path ~f:ignore);
+      named path "Trace_binary.load" (Trace_binary.load path);
+      named path "Signature_io.load" (Leakdetect_core.Signature_io.load ~on_error:`Skip path))
+    [ missing; dir ]
+
 let test_binary_skip_salvages_prefix () =
   let records = sample_records () in
   let encoded = Trace_binary.encode records in
@@ -610,6 +631,7 @@ let suite =
         qtest prop_wire_roundtrip_survives_rate0;
         Alcotest.test_case "trace skip mode" `Quick test_trace_skip_mode;
         Alcotest.test_case "binary skip salvages prefix" `Quick test_binary_skip_salvages_prefix;
+        Alcotest.test_case "loaders: missing file" `Quick test_loaders_missing_file;
       ] );
     ( "fault.signature_client",
       [

@@ -144,6 +144,43 @@ let test_trace_roundtrip_through_disk () =
         Alcotest.(check int) "sensitive preserved" (Workload.sensitive_count ds)
           sensitive_loaded)
 
+(* Golden signature sets (test/golden, written by gen_golden.exe): the
+   pipeline must keep producing them byte for byte, with the same
+   metrics, whatever the distance code underneath does. *)
+let test_golden_signatures () =
+  let ds = Workload.generate ~seed:42 ~scale:0.25 () in
+  let suspicious, normal = Workload.split ds in
+  let expected_metrics =
+    In_channel.with_open_text "golden/metrics.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  List.iter
+    (fun expected ->
+      match String.split_on_char ' ' expected with
+      | [ n; s_total; s_det; b_total; b_det; tp; fnr; fp ] ->
+        let n = int_of_string n in
+        let o = Pipeline.run ~rng:(Prng.create (7 + n)) ~n ~suspicious ~normal () in
+        let golden =
+          In_channel.with_open_text (Printf.sprintf "golden/n%d.sig" n) In_channel.input_all
+        in
+        let lines =
+          String.concat "" (List.map (fun s -> Leakdetect_core.Signature_io.to_line s ^ "\n")
+                              o.Pipeline.signatures)
+        in
+        Alcotest.(check string) (Printf.sprintf "N=%d signature lines" n) golden lines;
+        let m = o.Pipeline.metrics and c = o.Pipeline.metrics.Metrics.counts in
+        Alcotest.(check (list int)) (Printf.sprintf "N=%d counts" n)
+          (List.map int_of_string [ s_total; s_det; b_total; b_det ])
+          [ c.Metrics.sensitive_total; c.Metrics.sensitive_detected; c.Metrics.normal_total;
+            c.Metrics.normal_detected ];
+        Alcotest.(check int) "sample size" n c.Metrics.n;
+        Alcotest.(check (list (float 0.))) (Printf.sprintf "N=%d rates" n)
+          (List.map float_of_string [ tp; fnr; fp ])
+          [ m.Metrics.true_positive; m.Metrics.false_negative; m.Metrics.false_positive ]
+      | _ -> Alcotest.failf "bad golden metrics line %S" expected)
+    expected_metrics
+
 let suite =
   [
     ( "integration",
@@ -156,5 +193,6 @@ let suite =
         Alcotest.test_case "monitor consumes signatures" `Slow
           test_monitor_consumes_pipeline_signatures;
         Alcotest.test_case "trace disk roundtrip" `Quick test_trace_roundtrip_through_disk;
+        Alcotest.test_case "golden signatures" `Quick test_golden_signatures;
       ] );
   ]

@@ -1,5 +1,5 @@
 (* Tests for Leakdetect_parallel: the domain pool itself, the cache
-   freezing/shadow protocol it relies on, and qcheck properties asserting
+   freezing protocol it relies on, and qcheck properties asserting
    the parallel pipeline phases are bit-identical to sequential. *)
 
 module Pool = Leakdetect_parallel.Pool
@@ -143,7 +143,7 @@ let test_shutdown_idempotent () =
      Alcotest.fail "expected Invalid_argument after shutdown"
    with Invalid_argument _ -> ())
 
-(* --- cache freezing and shadows --- *)
+(* --- cache freezing --- *)
 
 let test_frozen_compressor_cache_degrades () =
   let c = Compressor.Cache.create Compressor.Lz77 in
@@ -182,35 +182,25 @@ let test_frozen_trigram_cache_degrades () =
      Alcotest.fail "preload on frozen trigram cache must raise"
    with Invalid_argument _ -> ())
 
-let test_shadow_cache () =
-  let parent = Compressor.Cache.create Compressor.Lz77 in
-  (try
-     ignore (Compressor.Cache.shadow parent);
-     Alcotest.fail "shadow of unfrozen parent must raise"
-   with Invalid_argument _ -> ());
-  ignore (Compressor.Cache.length_bits parent "shared-string");
-  ignore (Compressor.Cache.ncd parent "aaaa" "aaab");
-  Compressor.Cache.freeze parent;
-  let parent_size = Compressor.Cache.size parent in
-  let parent_pairs = Compressor.Cache.pair_size parent in
-  let sh = Compressor.Cache.shadow parent in
-  (* Reads through to the frozen parent... *)
-  Alcotest.(check int) "shadow reads parent singleton"
-    (Compressor.length_bits Compressor.Lz77 "shared-string")
-    (Compressor.Cache.length_bits sh "shared-string");
-  Alcotest.(check (float 1e-9)) "shadow ncd equals parent ncd"
-    (Compressor.Cache.ncd parent "aaaa" "aaab")
-    (Compressor.Cache.ncd sh "aaaa" "aaab");
-  (* ...caches private misses locally, never touching the parent. *)
-  ignore (Compressor.Cache.ncd sh "private-x" "private-y");
-  Alcotest.(check bool) "shadow caches its own misses" true
-    (Compressor.Cache.size sh > 0 && Compressor.Cache.pair_size sh > 0);
-  Alcotest.(check int) "parent singleton table untouched" parent_size
-    (Compressor.Cache.size parent);
-  Alcotest.(check int) "parent pair table untouched" parent_pairs
-    (Compressor.Cache.pair_size parent);
-  Alcotest.(check int) "no frozen misses via shadow on warm keys" 0
-    (Compressor.Cache.stats parent).Compressor.Cache.frozen_misses
+let test_frozen_ncd_cache_shared () =
+  (* Inside the freeze window every domain reads the one frozen NCD cache;
+     only the trigram cache gets a private per-domain shadow. *)
+  let dist = Distance.create () in
+  let packets = [| mk ~rline:"GET /a HTTP/1.1" (); mk ~rline:"GET /b HTTP/1.1" ~cookie:"id=1" () |] in
+  let ncd_before = Distance.ncd dist "shared-x" "shared-y" in
+  Pool.with_pool 2 (fun pool ->
+      Distance.with_frozen ?pool dist packets (fun ~init ->
+          let local = init () in
+          Alcotest.(check bool) "ncd cache shared" true
+            (Distance.ncd_cache local == Distance.ncd_cache dist);
+          Alcotest.(check bool) "ncd cache frozen" true
+            (Compressor.Cache.frozen (Distance.ncd_cache local));
+          Alcotest.(check bool) "trigram cache private" true
+            (Distance.trigram_cache local != Distance.trigram_cache dist);
+          Alcotest.(check (float 0.)) "same ncd through the frozen cache" ncd_before
+            (Distance.ncd local "shared-x" "shared-y")));
+  Alcotest.(check bool) "thawed afterwards" false
+    (Compressor.Cache.frozen (Distance.ncd_cache dist))
 
 (* --- parallel/sequential equivalence properties --- *)
 
@@ -301,7 +291,7 @@ let suite =
           test_frozen_compressor_cache_degrades;
         Alcotest.test_case "frozen trigram cache degrades" `Quick
           test_frozen_trigram_cache_degrades;
-        Alcotest.test_case "shadow cache" `Quick test_shadow_cache;
+        Alcotest.test_case "frozen ncd cache shared" `Quick test_frozen_ncd_cache_shared;
         qtest prop_matrix_jobs_equivalence;
         qtest prop_detect_bitmap_jobs_equivalence;
       ] );
